@@ -67,6 +67,26 @@ fn bench_schemes(c: &mut Criterion) {
                 )
             });
         });
+        // The snooping backends' per-access path: directory snoops, bus
+        // charges and invalidation/update traffic.
+        for (name, scheme) in [("mesi", Scheme::Mesi), ("dragon", Scheme::Dragon)] {
+            g.bench_with_input(BenchmarkId::new(name, n_pes), &n_pes, |b, &n| {
+                b.iter(|| {
+                    let layout = ccdp_dist::Layout::new(&program, n);
+                    black_box(
+                        Simulator::new(
+                            &program,
+                            layout,
+                            MachineConfig::t3d(n),
+                            scheme.clone(),
+                            SimOptions::default(),
+                        )
+                        .run()
+                        .cycles,
+                    )
+                });
+            });
+        }
     }
     g.finish();
 }

@@ -167,16 +167,6 @@ impl Cache {
         }
     }
 
-    /// Line address of whatever valid line currently occupies the slot
-    /// `addr` maps to — the line a conflicting install would evict. Used by
-    /// the hardware-coherence backends to keep their state maps in lockstep
-    /// with cache residency.
-    #[inline]
-    pub fn resident_line(&self, addr: usize) -> Option<u64> {
-        let idx = self.index_of(self.line_addr(addr));
-        self.valid[idx].then(|| self.tags[idx])
-    }
-
     /// Invalidate the line containing `addr` (failure-injection tests).
     pub fn invalidate(&mut self, addr: usize) {
         let la = self.line_addr(addr);

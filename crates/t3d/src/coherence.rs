@@ -10,8 +10,9 @@
 //! trace can specialize them into [`crate::compiled::AccessKind`] at
 //! compile time (the `compiled_equivalence` property test pins the two
 //! paths together). The hardware schemes (MESI / Dragon) are *dynamic*
-//! backends: they carry per-PE line-state machines and a snooping-bus
-//! model, and both execution paths dispatch them through the trait
+//! backends: they carry a line-state machine per (cache slot, PE) in a
+//! snoop directory plus a snooping-bus model, and both execution paths
+//! dispatch them through the trait
 //! ([`crate::compiled::AccessKind::Hardware`]).
 //!
 //! # Hardware backends: data model
@@ -30,6 +31,19 @@
 //! memory current, so there is nothing to write back); the protocols here
 //! cost the transaction structure — misses, upgrades, updates — not the
 //! writeback stream.
+//!
+//! # Snoop directory
+//!
+//! Every PE's cache is direct-mapped with the same geometry, so a line can
+//! occupy only one slot. Both hardware backends therefore keep their line
+//! states in one flat slot-major array (`SnoopDirectory`): the entry for
+//! (slot, PE) sits at `[slot * P + pe]` and holds the slot's tag and state,
+//! `None` meaning Invalid. A snoop scans the `P` contiguous entries of one
+//! slot; an install overwrites the slot's entry, which is the conflict
+//! eviction. Only the backends change a hardware run's cache residency,
+//! and each change updates the directory in the same call, so an entry is
+//! valid exactly when the PE's cache holds its line (asserted on the hit
+//! paths and property-tested in `unit`).
 //!
 //! # Bus model
 //!
@@ -56,10 +70,9 @@
 //! `ccdp-lint`'s phase-race detection verifies) observe identical values
 //! either way, and all effects have landed by the barrier.
 
-use std::collections::HashMap;
-
 use ccdp_ir::RefId;
 
+use crate::config::MachineConfig;
 use crate::interp::Simulator;
 use crate::metrics::{CycleCategory, TraceEventKind};
 use crate::Scheme;
@@ -104,16 +117,16 @@ pub trait CoherenceBackend {
     }
 }
 
-/// Build the backend for a scheme. `n_pes` sizes the hardware backends'
-/// per-PE state.
-pub(crate) fn backend_for(scheme: &Scheme, n_pes: usize) -> Box<dyn CoherenceBackend> {
+/// Build the backend for a scheme. The machine's PE count and cache
+/// geometry size the hardware backends' bus queues and snoop directory.
+pub(crate) fn backend_for(scheme: &Scheme, cfg: &MachineConfig) -> Box<dyn CoherenceBackend> {
     match scheme {
         Scheme::Sequential => Box::new(SeqBackend),
         Scheme::Base => Box::new(BaseBackend),
         Scheme::Ccdp { .. } => Box::new(CcdpBackend),
         Scheme::InvalidateOnly { .. } => Box::new(InvalidateOnlyBackend),
-        Scheme::Mesi => Box::new(Mesi::new(n_pes)),
-        Scheme::Dragon => Box::new(Dragon::new(n_pes)),
+        Scheme::Mesi => Box::new(Mesi::new(cfg)),
+        Scheme::Dragon => Box::new(Dragon::new(cfg)),
     }
 }
 
@@ -318,10 +331,91 @@ impl Bus {
     }
 }
 
+// -- snoop directory -------------------------------------------------------
+
+/// One (cache slot, PE) entry of a [`SnoopDirectory`]: the line the slot
+/// last held and its protocol state (`None` = Invalid).
+#[derive(Clone, Copy)]
+struct DirEntry<S> {
+    tag: u64,
+    state: Option<S>,
+}
+
+impl<S: Copy> DirEntry<S> {
+    /// This entry's state for `line`: `None` when the slot is invalid or
+    /// holds a different line.
+    #[inline]
+    fn state_for(&self, line: u64) -> Option<S> {
+        if self.tag == line {
+            self.state
+        } else {
+            None
+        }
+    }
+}
+
+/// Protocol state of every PE's cache, slot-major: entry `[slot * P + pe]`
+/// (see the module docs, *Snoop directory*). Invariant: an entry is valid
+/// for a line exactly when that PE's cache holds the line.
+struct SnoopDirectory<S> {
+    n_pes: usize,
+    slot_mask: usize,
+    line_words: usize,
+    entries: Vec<DirEntry<S>>,
+}
+
+impl<S: Copy> SnoopDirectory<S> {
+    fn new(cfg: &MachineConfig) -> SnoopDirectory<S> {
+        SnoopDirectory {
+            n_pes: cfg.n_pes,
+            slot_mask: cfg.cache_lines - 1,
+            line_words: cfg.line_words,
+            entries: vec![DirEntry { tag: 0, state: None }; cfg.cache_lines * cfg.n_pes],
+        }
+    }
+
+    /// Line address of a word address (same as `Cache::line_addr`).
+    #[inline]
+    fn line(&self, addr: usize) -> u64 {
+        (addr / self.line_words) as u64
+    }
+
+    /// The `P` entries of the slot `line` maps to, indexed by PE.
+    #[inline]
+    fn row(&self, line: u64) -> &[DirEntry<S>] {
+        let base = (line as usize & self.slot_mask) * self.n_pes;
+        &self.entries[base..base + self.n_pes]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, line: u64) -> &mut [DirEntry<S>] {
+        let base = (line as usize & self.slot_mask) * self.n_pes;
+        &mut self.entries[base..base + self.n_pes]
+    }
+
+    /// `pe`'s state for `line` (`None` = Invalid).
+    #[inline]
+    fn get(&self, pe: usize, line: u64) -> Option<S> {
+        self.row(line)[pe].state_for(line)
+    }
+
+    /// `pe`'s state for the line holding word `addr`.
+    #[cfg(test)]
+    fn state_of(&self, pe: usize, addr: usize) -> Option<S> {
+        self.get(pe, self.line(addr))
+    }
+
+    /// Record that `pe` holds `line` in state `st`, replacing whatever line
+    /// the slot held before.
+    #[inline]
+    fn set(&mut self, pe: usize, line: u64, st: S) {
+        self.row_mut(line)[pe] = DirEntry { tag: line, state: Some(st) };
+    }
+}
+
 // -- MESI ------------------------------------------------------------------
 
-/// MESI line states. Invalid is represented by absence (the state map is
-/// kept in lockstep with cache residency).
+/// MESI line states. Invalid is a `None` directory entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum MesiState {
     Modified,
@@ -338,39 +432,23 @@ enum MesiState {
 /// fill, go Modified); write to Exclusive → Modified silently.
 pub(crate) struct Mesi {
     bus: Bus,
-    /// Per-PE line-address → state. An entry exists iff the cache holds
-    /// the line (installs and invalidations maintain this in lockstep).
-    states: Vec<HashMap<u64, MesiState>>,
+    dir: SnoopDirectory<MesiState>,
 }
 
 impl Mesi {
-    pub(crate) fn new(n_pes: usize) -> Mesi {
-        Mesi { bus: Bus::new(n_pes), states: (0..n_pes).map(|_| HashMap::new()).collect() }
-    }
-
-    /// Remove the state entry of whatever line currently occupies `addr`'s
-    /// cache slot on `pe` (about to be evicted by a conflicting install).
-    fn purge_conflict(&mut self, sim: &Simulator, pe: usize, addr: usize) {
-        let incoming = sim.pes[pe].cache.line_addr(addr);
-        if let Some(old) = sim.pes[pe].cache.resident_line(addr) {
-            if old != incoming {
-                self.states[pe].remove(&old);
-            }
-        }
+    pub(crate) fn new(cfg: &MachineConfig) -> Mesi {
+        Mesi { bus: Bus::new(cfg.n_pes), dir: SnoopDirectory::new(cfg) }
     }
 
     /// Invalidate every remote copy of `addr`'s line (BusUpgr / BusRdX
     /// snoop effect). Returns how many copies were killed.
     fn invalidate_others(&mut self, sim: &mut Simulator, pe: usize, addr: usize) -> u64 {
-        let line = sim.pes[pe].cache.line_addr(addr);
+        let line = self.dir.line(addr);
         let mut n = 0;
-        for other in 0..sim.cfg.n_pes {
-            if other == pe {
-                continue;
-            }
-            if sim.pes[other].cache.lookup(addr).is_some() {
+        for (other, e) in self.dir.row_mut(line).iter_mut().enumerate() {
+            if other != pe && e.state_for(line).is_some() {
+                e.state = None;
                 sim.pes[other].cache.invalidate(addr);
-                self.states[other].remove(&line);
                 n += 1;
             }
         }
@@ -383,26 +461,17 @@ impl Mesi {
 
     /// Snoop a BusRd: downgrade every remote Modified/Exclusive copy to
     /// Shared. Returns whether any other cache holds the line.
-    fn snoop_read(&mut self, sim: &Simulator, pe: usize, addr: usize) -> bool {
-        let line = sim.pes[pe].cache.line_addr(addr);
+    fn snoop_read(&mut self, pe: usize, line: u64) -> bool {
         let mut shared = false;
-        for other in 0..sim.cfg.n_pes {
-            if other == pe {
-                continue;
-            }
-            if sim.pes[other].cache.lookup(addr).is_some() {
+        for (other, e) in self.dir.row_mut(line).iter_mut().enumerate() {
+            if other != pe && e.state_for(line).is_some() {
                 shared = true;
-                self.states[other].insert(line, MesiState::Shared);
+                e.state = Some(MesiState::Shared);
             }
         }
         shared
     }
 
-    fn state_of(&self, sim: &Simulator, pe: usize, addr: usize) -> Option<MesiState> {
-        sim.pes[pe].cache.lookup(addr)?;
-        let line = sim.pes[pe].cache.line_addr(addr);
-        self.states[pe].get(&line).copied()
-    }
 }
 
 impl CoherenceBackend for Mesi {
@@ -418,17 +487,17 @@ impl CoherenceBackend for Mesi {
         addr: usize,
         _craft: u64,
     ) -> f64 {
+        let line = self.dir.line(addr);
         if let Some(hit) = sim.pes[pe].cache.lookup(addr) {
+            debug_assert!(self.dir.get(pe, line).is_some(), "hit on a directory-invalid line");
             return sim.hw_cached_hit(pe, rid, addr, hit);
         }
         // Read miss: BusRd.
         self.bus.transaction(sim, pe);
-        let shared = self.snoop_read(sim, pe, addr);
-        self.purge_conflict(sim, pe, addr);
+        let shared = self.snoop_read(pe, line);
         sim.hw_fill(pe, addr);
-        let line = sim.pes[pe].cache.line_addr(addr);
         let st = if shared { MesiState::Shared } else { MesiState::Exclusive };
-        self.states[pe].insert(line, st);
+        self.dir.set(pe, line, st);
         sim.mem.read_shared(addr).0
     }
 
@@ -440,26 +509,25 @@ impl CoherenceBackend for Mesi {
         _craft_local: u64,
         value: f64,
     ) {
-        let line = sim.pes[pe].cache.line_addr(addr);
-        match self.state_of(sim, pe, addr) {
+        let line = self.dir.line(addr);
+        match self.dir.get(pe, line) {
             Some(MesiState::Modified) => {}
             Some(MesiState::Exclusive) => {
                 // Silent upgrade: no bus traffic.
-                self.states[pe].insert(line, MesiState::Modified);
+                self.dir.set(pe, line, MesiState::Modified);
             }
             Some(MesiState::Shared) => {
                 // BusUpgr: kill every remote copy, then own the line.
                 self.bus.transaction(sim, pe);
                 self.invalidate_others(sim, pe, addr);
-                self.states[pe].insert(line, MesiState::Modified);
+                self.dir.set(pe, line, MesiState::Modified);
             }
             None => {
                 // Write miss: BusRdX (read-for-ownership).
                 self.bus.transaction(sim, pe);
                 self.invalidate_others(sim, pe, addr);
-                self.purge_conflict(sim, pe, addr);
                 sim.hw_fill(pe, addr);
-                self.states[pe].insert(line, MesiState::Modified);
+                self.dir.set(pe, line, MesiState::Modified);
             }
         }
         sim.hw_store(pe, addr, value);
@@ -469,7 +537,7 @@ impl CoherenceBackend for Mesi {
 // -- Dragon ----------------------------------------------------------------
 
 /// Dragon line states (no Invalid in the write path: writes update remote
-/// copies instead of killing them). Absence = not cached.
+/// copies instead of killing them). A `None` directory entry = not cached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum DragonState {
     /// Exclusive clean.
@@ -492,62 +560,49 @@ enum DragonState {
 /// Exclusive/Modified is bus-silent.
 pub(crate) struct Dragon {
     bus: Bus,
-    states: Vec<HashMap<u64, DragonState>>,
+    dir: SnoopDirectory<DragonState>,
 }
 
 impl Dragon {
-    pub(crate) fn new(n_pes: usize) -> Dragon {
-        Dragon { bus: Bus::new(n_pes), states: (0..n_pes).map(|_| HashMap::new()).collect() }
+    pub(crate) fn new(cfg: &MachineConfig) -> Dragon {
+        Dragon { bus: Bus::new(cfg.n_pes), dir: SnoopDirectory::new(cfg) }
     }
 
-    fn purge_conflict(&mut self, sim: &Simulator, pe: usize, addr: usize) {
-        let incoming = sim.pes[pe].cache.line_addr(addr);
-        if let Some(old) = sim.pes[pe].cache.resident_line(addr) {
-            if old != incoming {
-                self.states[pe].remove(&old);
-            }
-        }
-    }
-
-    /// PEs other than `pe` holding `addr`'s line.
-    fn sharers(&self, sim: &Simulator, pe: usize, addr: usize) -> Vec<usize> {
-        (0..sim.cfg.n_pes)
-            .filter(|&other| other != pe && sim.pes[other].cache.lookup(addr).is_some())
-            .collect()
-    }
-
-    fn state_of(&self, sim: &Simulator, pe: usize, addr: usize) -> Option<DragonState> {
-        sim.pes[pe].cache.lookup(addr)?;
-        let line = sim.pes[pe].cache.line_addr(addr);
-        self.states[pe].get(&line).copied()
+    /// Does any PE other than `pe` hold `line`?
+    fn has_sharers(&self, pe: usize, line: u64) -> bool {
+        self.dir
+            .row(line)
+            .iter()
+            .enumerate()
+            .any(|(other, e)| other != pe && e.state_for(line).is_some())
     }
 
     /// BusUpd: patch every sharer's copy of `addr` with the freshly written
     /// word and settle the writer's state (SharedModified while sharers
     /// remain, Modified otherwise). The write itself (memory + own cache)
-    /// has already happened via `hw_store`.
+    /// has already happened via `hw_store`, which leaves other PEs'
+    /// entries untouched, so the sharers are those the snoop saw.
     fn bus_update(
         &mut self,
         sim: &mut Simulator,
         pe: usize,
         addr: usize,
-        sharers: &[usize],
         value: f64,
         version: u32,
     ) {
-        let line = sim.pes[pe].cache.line_addr(addr);
-        for &other in sharers {
-            sim.pes[other].cache.update_word(addr, value, version);
-            self.states[other].insert(line, DragonState::SharedClean);
+        let line = self.dir.line(addr);
+        let mut n = 0;
+        for (other, e) in self.dir.row_mut(line).iter_mut().enumerate() {
+            if other != pe && e.state_for(line).is_some() {
+                e.state = Some(DragonState::SharedClean);
+                sim.pes[other].cache.update_word(addr, value, version);
+                n += 1;
+            }
         }
-        sim.pes[pe].stats.bus_updates += sharers.len() as u64;
+        sim.pes[pe].stats.bus_updates += n;
         sim.trace_event(pe, TraceEventKind::BusUpdate, addr);
-        let st = if sharers.is_empty() {
-            DragonState::Modified
-        } else {
-            DragonState::SharedModified
-        };
-        self.states[pe].insert(line, st);
+        let st = if n == 0 { DragonState::Modified } else { DragonState::SharedModified };
+        self.dir.set(pe, line, st);
     }
 }
 
@@ -564,30 +619,31 @@ impl CoherenceBackend for Dragon {
         addr: usize,
         _craft: u64,
     ) -> f64 {
+        let line = self.dir.line(addr);
         if let Some(hit) = sim.pes[pe].cache.lookup(addr) {
+            debug_assert!(self.dir.get(pe, line).is_some(), "hit on a directory-invalid line");
             return sim.hw_cached_hit(pe, rid, addr, hit);
         }
         // Read miss: BusRd. Remote exclusive holders downgrade to shared
         // (a Modified owner keeps write responsibility as SharedModified).
         self.bus.transaction(sim, pe);
-        let line = sim.pes[pe].cache.line_addr(addr);
         let mut shared = false;
-        for other in 0..sim.cfg.n_pes {
-            if other == pe || sim.pes[other].cache.lookup(addr).is_none() {
+        for (other, e) in self.dir.row_mut(line).iter_mut().enumerate() {
+            if other == pe {
                 continue;
             }
-            shared = true;
-            let e = self.states[other].entry(line).or_insert(DragonState::SharedClean);
-            *e = match *e {
-                DragonState::Modified => DragonState::SharedModified,
-                DragonState::Exclusive => DragonState::SharedClean,
-                s => s,
-            };
+            if let Some(st) = e.state_for(line) {
+                shared = true;
+                e.state = Some(match st {
+                    DragonState::Modified => DragonState::SharedModified,
+                    DragonState::Exclusive => DragonState::SharedClean,
+                    s => s,
+                });
+            }
         }
-        self.purge_conflict(sim, pe, addr);
         sim.hw_fill(pe, addr);
         let st = if shared { DragonState::SharedClean } else { DragonState::Exclusive };
-        self.states[pe].insert(line, st);
+        self.dir.set(pe, line, st);
         sim.mem.read_shared(addr).0
     }
 
@@ -599,36 +655,34 @@ impl CoherenceBackend for Dragon {
         _craft_local: u64,
         value: f64,
     ) {
-        let line = sim.pes[pe].cache.line_addr(addr);
-        match self.state_of(sim, pe, addr) {
+        let line = self.dir.line(addr);
+        match self.dir.get(pe, line) {
             Some(DragonState::Modified) => {
                 sim.hw_store(pe, addr, value);
             }
             Some(DragonState::Exclusive) => {
-                self.states[pe].insert(line, DragonState::Modified);
+                self.dir.set(pe, line, DragonState::Modified);
                 sim.hw_store(pe, addr, value);
             }
             Some(DragonState::SharedClean) | Some(DragonState::SharedModified) => {
                 // BusUpd (the snoop also reveals whether sharers remain).
                 self.bus.transaction(sim, pe);
-                let sharers = self.sharers(sim, pe, addr);
                 let ver = sim.hw_store(pe, addr, value);
-                self.bus_update(sim, pe, addr, &sharers, value, ver);
+                self.bus_update(sim, pe, addr, value, ver);
             }
             None => {
                 // Write miss: fill first (BusRd), then update sharers if
                 // the snoop found any.
                 self.bus.transaction(sim, pe);
-                let sharers = self.sharers(sim, pe, addr);
-                self.purge_conflict(sim, pe, addr);
+                let shared = self.has_sharers(pe, line);
                 sim.hw_fill(pe, addr);
-                if sharers.is_empty() {
-                    self.states[pe].insert(line, DragonState::Modified);
-                    sim.hw_store(pe, addr, value);
-                } else {
+                if shared {
                     self.bus.transaction(sim, pe);
                     let ver = sim.hw_store(pe, addr, value);
-                    self.bus_update(sim, pe, addr, &sharers, value, ver);
+                    self.bus_update(sim, pe, addr, value, ver);
+                } else {
+                    self.dir.set(pe, line, DragonState::Modified);
+                    sim.hw_store(pe, addr, value);
                 }
             }
         }
@@ -665,15 +719,15 @@ mod unit {
     fn mesi_read_miss_installs_exclusive_then_shared() {
         let p = fixture();
         let mut sim = sim_for(&p, Scheme::Mesi);
-        let mut m = Mesi::new(2);
+        let mut m = Mesi::new(&sim.cfg);
         let rid = RefId(0);
         // PE 0 read miss: nobody else caches the line → Exclusive.
         m.read_shared(&mut sim, 0, rid, 0, 0);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Exclusive));
+        assert_eq!(m.dir.state_of(0, 0), Some(MesiState::Exclusive));
         // PE 1 reads the same line: both go Shared.
         m.read_shared(&mut sim, 1, rid, 0, 0);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Shared));
-        assert_eq!(m.state_of(&sim, 1, 0), Some(MesiState::Shared));
+        assert_eq!(m.dir.state_of(0, 0), Some(MesiState::Shared));
+        assert_eq!(m.dir.state_of(1, 0), Some(MesiState::Shared));
         assert_eq!(sim.pes[0].stats.bus_txns + sim.pes[1].stats.bus_txns, 2);
     }
 
@@ -681,14 +735,14 @@ mod unit {
     fn mesi_write_upgrades_and_invalidates() {
         let p = fixture();
         let mut sim = sim_for(&p, Scheme::Mesi);
-        let mut m = Mesi::new(2);
+        let mut m = Mesi::new(&sim.cfg);
         let rid = RefId(0);
         m.read_shared(&mut sim, 0, rid, 0, 0);
         m.read_shared(&mut sim, 1, rid, 0, 0);
         // PE 0 writes a Shared line: BusUpgr kills PE 1's copy.
         m.write_shared(&mut sim, 0, 0, 0, 7.0);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Modified));
-        assert_eq!(m.state_of(&sim, 1, 0), None, "remote copy invalidated");
+        assert_eq!(m.dir.state_of(0, 0), Some(MesiState::Modified));
+        assert_eq!(m.dir.state_of(1, 0), None, "remote copy invalidated");
         assert!(sim.pes[1].cache.lookup(0).is_none());
         assert_eq!(sim.pes[0].stats.bus_invalidations, 1);
         // A second write to the now-Modified line is bus-silent.
@@ -697,10 +751,10 @@ mod unit {
         assert_eq!(sim.pes[0].stats.bus_txns, txns);
         // Exclusive → Modified is silent too.
         m.read_shared(&mut sim, 1, rid, 8, 0);
-        assert_eq!(m.state_of(&sim, 1, 8), Some(MesiState::Exclusive));
+        assert_eq!(m.dir.state_of(1, 8), Some(MesiState::Exclusive));
         let txns = sim.pes[1].stats.bus_txns;
         m.write_shared(&mut sim, 1, 8, 0, 1.0);
-        assert_eq!(m.state_of(&sim, 1, 8), Some(MesiState::Modified));
+        assert_eq!(m.dir.state_of(1, 8), Some(MesiState::Modified));
         assert_eq!(sim.pes[1].stats.bus_txns, txns);
     }
 
@@ -708,13 +762,13 @@ mod unit {
     fn mesi_write_miss_is_busrdx() {
         let p = fixture();
         let mut sim = sim_for(&p, Scheme::Mesi);
-        let mut m = Mesi::new(2);
+        let mut m = Mesi::new(&sim.cfg);
         let rid = RefId(0);
         m.read_shared(&mut sim, 1, rid, 0, 0);
         // PE 0 write miss: BusRdX invalidates PE 1 and installs Modified.
         m.write_shared(&mut sim, 0, 0, 0, 3.5);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Modified));
-        assert_eq!(m.state_of(&sim, 1, 0), None);
+        assert_eq!(m.dir.state_of(0, 0), Some(MesiState::Modified));
+        assert_eq!(m.dir.state_of(1, 0), None);
         // The readback sees the new value, version-current (oracle-clean).
         let v = m.read_shared(&mut sim, 0, rid, 0, 0);
         assert_eq!(v, 3.5);
@@ -725,16 +779,16 @@ mod unit {
     fn dragon_updates_remote_copies_in_place() {
         let p = fixture();
         let mut sim = sim_for(&p, Scheme::Dragon);
-        let mut d = Dragon::new(2);
+        let mut d = Dragon::new(&sim.cfg);
         let rid = RefId(0);
         d.read_shared(&mut sim, 0, rid, 0, 0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::Exclusive));
+        assert_eq!(d.dir.state_of(0, 0), Some(DragonState::Exclusive));
         d.read_shared(&mut sim, 1, rid, 0, 0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::SharedClean));
+        assert_eq!(d.dir.state_of(0, 0), Some(DragonState::SharedClean));
         // PE 0 writes: BusUpd patches PE 1's copy instead of killing it.
         d.write_shared(&mut sim, 0, 0, 0, 9.25);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::SharedModified));
-        assert_eq!(d.state_of(&sim, 1, 0), Some(DragonState::SharedClean));
+        assert_eq!(d.dir.state_of(0, 0), Some(DragonState::SharedModified));
+        assert_eq!(d.dir.state_of(1, 0), Some(DragonState::SharedClean));
         assert!(sim.pes[1].cache.lookup(0).is_some(), "copy survives");
         assert_eq!(sim.pes[0].stats.bus_updates, 1);
         // PE 1 reads its patched copy: current value, no stale read.
@@ -747,21 +801,21 @@ mod unit {
     fn dragon_modified_owner_downgrades_to_shared_modified() {
         let p = fixture();
         let mut sim = sim_for(&p, Scheme::Dragon);
-        let mut d = Dragon::new(2);
+        let mut d = Dragon::new(&sim.cfg);
         let rid = RefId(0);
         // PE 0 write miss with no sharers → Modified.
         d.write_shared(&mut sim, 0, 0, 0, 2.0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::Modified));
+        assert_eq!(d.dir.state_of(0, 0), Some(DragonState::Modified));
         // PE 1 reads: owner goes SharedModified, reader SharedClean.
         let v = d.read_shared(&mut sim, 1, rid, 0, 0);
         assert_eq!(v, 2.0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::SharedModified));
-        assert_eq!(d.state_of(&sim, 1, 0), Some(DragonState::SharedClean));
+        assert_eq!(d.dir.state_of(0, 0), Some(DragonState::SharedModified));
+        assert_eq!(d.dir.state_of(1, 0), Some(DragonState::SharedClean));
         // PE 1 now writes: BusUpd; PE 1 becomes the SharedModified owner
         // and PE 0's copy downgrades to SharedClean, patched in place.
         d.write_shared(&mut sim, 1, 0, 0, 4.0);
-        assert_eq!(d.state_of(&sim, 1, 0), Some(DragonState::SharedModified));
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::SharedClean));
+        assert_eq!(d.dir.state_of(1, 0), Some(DragonState::SharedModified));
+        assert_eq!(d.dir.state_of(0, 0), Some(DragonState::SharedClean));
         let v = d.read_shared(&mut sim, 0, rid, 0, 0);
         assert_eq!(v, 4.0);
         assert_eq!(sim.oracle.stale_reads, 0);
@@ -771,12 +825,12 @@ mod unit {
     fn dragon_exclusive_write_is_silent() {
         let p = fixture();
         let mut sim = sim_for(&p, Scheme::Dragon);
-        let mut d = Dragon::new(2);
+        let mut d = Dragon::new(&sim.cfg);
         let rid = RefId(0);
         d.read_shared(&mut sim, 0, rid, 0, 0);
         let txns = sim.pes[0].stats.bus_txns;
         d.write_shared(&mut sim, 0, 0, 0, 1.0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::Modified));
+        assert_eq!(d.dir.state_of(0, 0), Some(DragonState::Modified));
         assert_eq!(sim.pes[0].stats.bus_txns, txns, "E→M write is bus-silent");
         assert_eq!(sim.pes[0].stats.bus_updates, 0);
     }
@@ -794,15 +848,91 @@ mod unit {
             pb.finish().unwrap()
         };
         let mut sim = sim_for(&p, Scheme::Mesi);
-        let mut m = Mesi::new(2);
+        let mut m = Mesi::new(&sim.cfg);
         let rid = RefId(0);
         m.read_shared(&mut sim, 0, rid, 0, 0);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Exclusive));
+        assert_eq!(m.dir.state_of(0, 0), Some(MesiState::Exclusive));
         // Address 1024 conflicts with address 0 (same slot, different tag).
         m.read_shared(&mut sim, 0, rid, 1024, 0);
         assert!(sim.pes[0].cache.lookup(0).is_none(), "conflict evicted");
-        assert_eq!(m.state_of(&sim, 0, 0), None, "state purged with the line");
-        assert_eq!(m.state_of(&sim, 0, 1024), Some(MesiState::Exclusive));
+        assert_eq!(m.dir.state_of(0, 0), None, "state purged with the line");
+        assert_eq!(m.dir.state_of(0, 1024), Some(MesiState::Exclusive));
+    }
+
+    /// Every (PE, line) of a `words`-word shared space: the directory entry
+    /// is valid exactly when the PE's cache holds the line, and every valid
+    /// entry names a line the cache really holds in that slot.
+    fn assert_lockstep<S: Copy>(dir: &SnoopDirectory<S>, sim: &Simulator, words: usize, op: usize) {
+        for pe in 0..sim.cfg.n_pes {
+            let cache = &sim.pes[pe].cache;
+            for addr in (0..words).step_by(sim.cfg.line_words) {
+                let line = dir.line(addr);
+                assert_eq!(
+                    dir.get(pe, line).is_some(),
+                    cache.lookup(addr).is_some(),
+                    "op {op}: PE {pe} line {line}: directory and cache disagree"
+                );
+            }
+            for slot in 0..sim.cfg.cache_lines {
+                let e = dir.entries[slot * sim.cfg.n_pes + pe];
+                if e.state.is_some() {
+                    let addr = e.tag as usize * sim.cfg.line_words;
+                    assert!(
+                        cache.lookup(addr).is_some_and(|h| h.line == slot),
+                        "op {op}: PE {pe} slot {slot}: valid entry for an uncached line"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Seeded random reads/writes on 2–4 PEs with a 4-line cache (so
+    /// conflict evictions are frequent), through one hardware backend,
+    /// checking the directory/cache lockstep invariant after every access
+    /// and a clean oracle at the end.
+    fn lockstep_run<B: CoherenceBackend, S: Copy>(
+        make: fn(&MachineConfig) -> B,
+        dir: fn(&B) -> &SnoopDirectory<S>,
+        scheme: Scheme,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const WORDS: usize = 64;
+        let p = {
+            let mut pb = ProgramBuilder::new("lockstep");
+            let a = pb.shared("A", &[WORDS]);
+            pb.serial_epoch("touch", |e| {
+                e.assign(a.at1(0), a.at1(0).rd() + 0.0);
+            });
+            pb.finish().unwrap()
+        };
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_pes = rng.gen_range(2..=4usize);
+            let mut cfg = MachineConfig::t3d(n_pes);
+            cfg.cache_lines = 4;
+            let layout = Layout::new(&p, n_pes);
+            let mut sim = Simulator::new(&p, layout, cfg, scheme.clone(), SimOptions::default());
+            let mut b = make(&sim.cfg);
+            for op in 0..400 {
+                let pe = rng.gen_range(0..n_pes);
+                let addr = rng.gen_range(0..WORDS);
+                if rng.gen_range(0..3u32) == 0 {
+                    b.write_shared(&mut sim, pe, addr, 0, op as f64);
+                } else {
+                    let v = b.read_shared(&mut sim, pe, RefId(0), addr, 0);
+                    assert_eq!(v, sim.mem.read_shared(addr).0, "seed {seed} op {op}");
+                }
+                assert_lockstep(dir(&b), &sim, WORDS, op);
+            }
+            assert_eq!(sim.oracle.stale_reads, 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn directory_stays_in_lockstep_with_caches() {
+        lockstep_run(Mesi::new, |m| &m.dir, Scheme::Mesi);
+        lockstep_run(Dragon::new, |d| &d.dir, Scheme::Dragon);
     }
 
     #[test]

@@ -215,7 +215,7 @@ struct BlockOut {
 fn run_block<'p>(seed: BlockSeed<'p>) -> BlockOut {
     let n_pes = seed.cfg.n_pes;
     let line_words = seed.cfg.line_words as u64;
-    let backend = Some(backend_for(&seed.scheme, n_pes));
+    let backend = Some(backend_for(&seed.scheme, &seed.cfg));
     // `EventTrace::new` allocates lazily, so an effectively unbounded
     // capacity costs nothing when few events arrive; the worker must never
     // wrap its ring, because the master replays events in block order and
@@ -342,7 +342,7 @@ impl<'p> Simulator<'p> {
         }
         let faults =
             (!opts.faults.is_none()).then(|| FaultEngine::new(opts.faults, cfg.n_pes));
-        let backend = Some(backend_for(&scheme, cfg.n_pes));
+        let backend = Some(backend_for(&scheme, &cfg));
         // `CCDP_FORCE_TREEWALK` is no longer read here: the core crate's
         // `EnvOverrides` parses it (with validation) into
         // `SimOptions::force_treewalk`.

@@ -119,3 +119,62 @@ fn fixed_seed_backend_sweep() {
         }
     }
 }
+
+/// One hardware-backend count pin: scheme, kernel, P, then cycles,
+/// cache_hits, local_fills, remote_fills, writes_local, writes_remote,
+/// bus_txns, bus_invalidations, bus_updates.
+type CountPin = (&'static str, &'static str, usize, [u64; 9]);
+
+/// Counts recorded from the MESI/Dragon backends on `small_suite()`. The
+/// value checks above pass for any protocol that keeps copies current;
+/// these pin *what the protocol did* — a change to the snoop bookkeeping
+/// that alters one transaction, invalidation or update shows up here.
+const HARDWARE_COUNT_PINS: &[CountPin] = &[
+    ("MESI", "MXM", 2, [31880, 9120, 176, 96, 3776, 0, 272, 0, 0]),
+    ("DRAGON", "MXM", 2, [31880, 9120, 176, 96, 3776, 0, 272, 0, 0]),
+    ("MESI", "MXM", 8, [22586, 8544, 176, 672, 3776, 0, 848, 0, 0]),
+    ("DRAGON", "MXM", 8, [22586, 8544, 176, 672, 3776, 0, 848, 0, 0]),
+    ("MESI", "VPENTA", 2, [74213, 5498, 1952, 0, 5088, 0, 1952, 0, 0]),
+    ("DRAGON", "VPENTA", 2, [74213, 5498, 1952, 0, 5088, 0, 1952, 0, 0]),
+    ("MESI", "VPENTA", 8, [18030, 6336, 1008, 0, 5088, 0, 1008, 0, 0]),
+    ("DRAGON", "VPENTA", 8, [18030, 6336, 1008, 0, 5088, 0, 1008, 0, 0]),
+    ("MESI", "TOMCATV", 2, [217337, 16521, 2386, 718, 7548, 1440, 3511, 562, 0]),
+    ("DRAGON", "TOMCATV", 2, [179073, 17013, 2145, 434, 7548, 1440, 3949, 0, 1265]),
+    ("MESI", "TOMCATV", 8, [177932, 14308, 1702, 3716, 6468, 2520, 7120, 3087, 0]),
+    ("DRAGON", "TOMCATV", 8, [129995, 16975, 1124, 1367, 6468, 2520, 6809, 0, 7645]),
+    ("MESI", "SWIM", 2, [446841, 51300, 6625, 132, 16284, 153, 6801, 85, 0]),
+    ("DRAGON", "SWIM", 2, [447270, 51345, 6584, 126, 16284, 153, 6958, 0, 231]),
+    ("MESI", "SWIM", 8, [162334, 53910, 2462, 675, 15672, 765, 3480, 573, 0]),
+    ("DRAGON", "SWIM", 8, [165997, 54234, 2243, 543, 15672, 765, 4710, 0, 1839]),
+];
+
+fn hardware_counts(kernel: &str, n_pes: usize, scheme: Scheme) -> [u64; 9] {
+    let spec = small_suite().into_iter().find(|s| s.name == kernel).expect("kernel");
+    let r = PipelineConfig::t3d(n_pes).run(&spec.program, scheme).expect("coherent").result;
+    let t = r.total_stats();
+    [
+        r.cycles,
+        t.cache_hits,
+        t.local_fills,
+        t.remote_fills,
+        t.writes_local,
+        t.writes_remote,
+        t.bus_txns,
+        t.bus_invalidations,
+        t.bus_updates,
+    ]
+}
+
+#[test]
+fn hardware_backend_counts_match_pins() {
+    assert_eq!(HARDWARE_COUNT_PINS.len(), small_suite().len() * 2 * 2);
+    for &(scheme, kernel, n_pes, want) in HARDWARE_COUNT_PINS {
+        let s = if scheme == "MESI" { Scheme::Mesi } else { Scheme::Dragon };
+        assert_eq!(
+            hardware_counts(kernel, n_pes, s),
+            want,
+            "{scheme} {kernel} P={n_pes}: [cycles, hits, local_fills, remote_fills, \
+             writes_local, writes_remote, bus_txns, bus_invalidations, bus_updates]"
+        );
+    }
+}
