@@ -22,7 +22,6 @@
 pub mod access;
 pub mod locality;
 pub mod parallelize;
-pub mod shard;
 pub mod stale;
 pub mod summary;
 pub mod verify;
@@ -30,10 +29,6 @@ pub mod verify;
 pub use access::{epoch_access_sections, ref_section_for_pe, EpochAccess, PeSections};
 pub use locality::{find_uniform_groups, group_spatial, GroupSpatial, UniformGroup};
 pub use parallelize::{auto_parallelize, LoopDecision, ParallelizeReport};
-pub use shard::{
-    shard_scan, shard_verdict, shard_verdict_partition, shared_base_words, ConflictWitness,
-    DoallVerdict, ShardBlocker, ShardVerdict,
-};
 pub use stale::{analyze_stale, StaleAnalysis, StaleReason};
 pub use summary::{summarize_routine, RoutineSummary};
 pub use verify::{

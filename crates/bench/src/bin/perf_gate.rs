@@ -16,10 +16,7 @@
 //! schema than this binary understands is a hard error (exit 2, with the
 //! command to regenerate), a missing/absent `perf` section — normal for a
 //! resumed or failing report run — passes with a loud notice naming
-//! exactly what is missing, and a baseline measured at a different
-//! `sim_threads` than this run's `CCDP_SIM_THREADS` is a hard error
-//! (exit 2): comparing across engine configurations would measure the
-//! knob, not a regression.
+//! exactly what is missing.
 
 use ccdp_bench::report::{perf_baseline, Baseline, SCHEMA_VERSION};
 use ccdp_bench::{paper_kernels, run_grid_timed, Scale, GRID_SCHEMES, PAPER_PES};
@@ -34,24 +31,7 @@ fn main() {
         std::process::exit(2);
     });
     let factor = env.perf_gate_factor.unwrap_or(DEFAULT_FACTOR);
-    let gate_threads = env.sim_threads.unwrap_or(1) as u64;
-    eprintln!("PERF GATE: gating at sim_threads={gate_threads}");
     let baseline = committed_baseline();
-    // Refuse a cross-configuration comparison up front, before spending
-    // two grid runs on numbers the gate could not honestly compare.
-    if let Some((_, base_threads)) = baseline {
-        if base_threads != gate_threads {
-            eprintln!(
-                "PERF GATE: baseline in {BASELINE} was measured at \
-                 sim_threads={base_threads}, but this run gates at \
-                 sim_threads={gate_threads} (CCDP_SIM_THREADS) — comparing them would \
-                 measure the worker knob, not a regression. Re-run with matching \
-                 CCDP_SIM_THREADS, or regenerate the baseline with \
-                 `cargo run -p ccdp-bench --release --bin report`."
-            );
-            std::process::exit(2);
-        }
-    }
     report_baseline_scheme_cycles();
     let kernels = paper_kernels(Scale::Quick);
     // Best of two: the first run also warms the file cache / frequency
@@ -74,11 +54,11 @@ fn main() {
                  re-arm the gate."
             );
         }
-        Some((base, _)) => {
+        Some(base) => {
             let limit = base * factor;
             eprintln!(
                 "PERF GATE: fresh quick grid {best:.3}s vs committed {base:.3}s \
-                 at sim_threads={gate_threads} (limit {limit:.3}s = {factor:.2}x)"
+                 (limit {limit:.3}s = {factor:.2}x)"
             );
             if best > limit {
                 eprintln!("PERF GATE: FAIL — quick grid regressed more than {factor:.2}x");
@@ -89,12 +69,11 @@ fn main() {
     }
 }
 
-/// `(perf.wall_seconds, perf.sim_threads)` from the committed report, when
-/// present and valid (pre-v8 documents read as `sim_threads = 1`). The
-/// classification itself lives in `report::perf_baseline` (additive
+/// `perf.wall_seconds` from the committed report, when present and valid.
+/// The classification itself lives in `report::perf_baseline` (additive
 /// sections such as v7's `service` are ignored; only a genuinely newer
 /// schema is rejected) — this wrapper just turns it into IO + exit codes.
-fn committed_baseline() -> Option<(f64, u64)> {
+fn committed_baseline() -> Option<f64> {
     let text = match std::fs::read_to_string(BASELINE) {
         Ok(t) => t,
         Err(e) => {
@@ -110,7 +89,7 @@ fn committed_baseline() -> Option<(f64, u64)> {
         }
     };
     match perf_baseline(&doc) {
-        Baseline::Wall { wall_seconds, sim_threads } => Some((wall_seconds, sim_threads)),
+        Baseline::Wall { wall_seconds } => Some(wall_seconds),
         Baseline::Missing => None,
         Baseline::NewerSchema(v) => {
             eprintln!(

@@ -28,10 +28,7 @@ use std::time::Duration;
 use ccdp_bench::journal::{header_line, run_journaled_grid, GRID_JOURNAL};
 use ccdp_bench::report::report_json_cells;
 use ccdp_bench::resilience::GridOptions;
-use ccdp_bench::{
-    flag_value, has_flag, measure_scaling, paper_kernels, seed_from, Scale, GRID_SCHEMES,
-    PAPER_PES,
-};
+use ccdp_bench::{flag_value, has_flag, paper_kernels, seed_from, Scale, GRID_SCHEMES, PAPER_PES};
 
 const OUT: &str = "BENCH_ccdp.json";
 
@@ -70,7 +67,7 @@ fn main() {
     );
     let kernels = paper_kernels(scale);
     let header = header_line("report", scale, seed, &PAPER_PES, &GRID_SCHEMES, &opts);
-    let mut run = run_journaled_grid(
+    let run = run_journaled_grid(
         &kernels,
         &PAPER_PES,
         &GRID_SCHEMES,
@@ -86,36 +83,13 @@ fn main() {
     if run.reused > 0 {
         eprintln!("resumed {} journaled cell(s) from {}", run.reused, journal_path.display());
     }
-    match &mut run.timing {
-        Some(t) => {
-            eprintln!(
-                "grid: {:.3}s wall on {} thread(s), sim_threads={}, \
-                 {:.2}M simulated cycles/s",
-                t.wall_seconds,
-                t.threads,
-                t.sim_threads,
-                t.cycles_per_second() / 1e6
-            );
-            // Fresh healthy run: probe intra-run scaling on a small quick
-            // grid so the perf section records how the sharded engine
-            // scales on this host. Simulated results are identical at
-            // every thread count (bit-exact parallel path); only the wall
-            // numbers differ.
-            eprintln!("probing intra-run scaling (quick grid, sim_threads 1/2/4) ...");
-            let probe = paper_kernels(Scale::Quick);
-            match measure_scaling(&probe[..2], &[4], &GRID_SCHEMES, &[1, 2, 4]) {
-                Ok(points) => {
-                    for p in &points {
-                        eprintln!(
-                            "  sim_threads={}: {:.3}s wall",
-                            p.sim_threads, p.wall_seconds
-                        );
-                    }
-                    t.scaling = points;
-                }
-                Err(e) => eprintln!("scaling probe failed ({e}); omitting perf.scaling"),
-            }
-        }
+    match &run.timing {
+        Some(t) => eprintln!(
+            "grid: {:.3}s wall on {} thread(s), {:.2}M simulated cycles/s",
+            t.wall_seconds,
+            t.threads,
+            t.cycles_per_second() / 1e6
+        ),
         None => eprintln!("grid finished (no perf baseline: resumed or failing run)"),
     }
     let names: Vec<&str> = kernels.iter().map(|k| k.name).collect();

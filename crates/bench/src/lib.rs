@@ -225,17 +225,10 @@ pub struct GridTiming {
     pub wall_seconds: f64,
     /// Worker threads used (`min(host parallelism, cell count)`).
     pub threads: usize,
-    /// The simulator's intra-run worker knob in effect for every cell
-    /// (`SimOptions::sim_threads`, set by `CCDP_SIM_THREADS` or a probe
-    /// tweak; 1 = the serial engine).
-    pub sim_threads: usize,
     /// Per-kernel sequential-run timing (run once, reused by every cell).
     pub seq: Vec<CellTiming>,
     /// Per-cell timing, indexed like the grid: `cells[kernel][pe]`.
     pub cells: Vec<Vec<CellTiming>>,
-    /// Intra-run scaling probe points ([`measure_scaling`]), attached by
-    /// the report bin on fresh healthy runs; empty when not probed.
-    pub scaling: Vec<ScalingPoint>,
 }
 
 impl GridTiming {
@@ -245,16 +238,6 @@ impl GridTiming {
         let cells: u64 =
             self.cells.iter().flatten().map(|c| c.sim_cycles).sum();
         seq + cells
-    }
-
-    /// Shard-path counters aggregated over every cell of the timed grid
-    /// (feeds the report's `perf.shard` object, schema v10).
-    pub fn shard(&self) -> ShardAgg {
-        let mut agg = ShardAgg::default();
-        for c in self.cells.iter().flatten() {
-            agg.merge(&c.shard);
-        }
-        agg
     }
 
     /// Aggregate host throughput in simulated cycles per second.
@@ -278,73 +261,16 @@ pub struct CellTiming {
     /// (empty for `seq` entries). Feeds the `perf` section's per-scheme
     /// rows (schema v6).
     pub scheme_cycles: Vec<(&'static str, u64)>,
-    /// Shard-path counters summed over the cell's scheme runs (zero for
-    /// `seq` entries, which never shard).
-    pub shard: ShardAgg,
 }
 
 impl CellTiming {
     /// Timing of one grid cell from its completed matrix.
     pub fn from_matrix(wall_seconds: f64, m: &SchemeMatrix) -> CellTiming {
-        let mut shard = ShardAgg::default();
-        for r in &m.runs {
-            shard.absorb(&r.result.shard);
-        }
         CellTiming {
             wall_seconds,
             sim_cycles: m.runs.iter().map(|r| r.result.cycles).sum(),
             scheme_cycles: m.runs.iter().map(|r| (r.scheme.key(), r.result.cycles)).collect(),
-            shard,
         }
-    }
-}
-
-/// Aggregated epoch-sharding counters over a set of simulation runs: how
-/// many DOALL instances ran on the statically proven fast path (no shard
-/// log, no merge-time conflict scan), how many were dynamically checked,
-/// and how many fell back to the serial schedule. Feeds the `perf.shard`
-/// object of the report (schema v10).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardAgg {
-    /// Instances sharded on a static `Disjoint` proof.
-    pub static_proven: u64,
-    /// Instances sharded optimistically with the dynamic conflict log.
-    pub dynamic_logged: u64,
-    /// Dynamically logged instances rejected at merge and rerun serially.
-    pub conflicts: u64,
-    /// Proven budgeted instances whose sliced budget tripped in a worker.
-    pub budget_reruns: u64,
-    /// Instances that went straight to the serial schedule, all structured
-    /// reasons combined.
-    pub declined: u64,
-}
-
-impl ShardAgg {
-    /// Fold one run's shard statistics into the aggregate.
-    pub fn absorb(&mut self, s: &t3d_sim::ShardStats) {
-        self.static_proven += s.static_proven;
-        self.dynamic_logged += s.dynamic_logged;
-        self.conflicts += s.conflicts;
-        self.budget_reruns += s.budget_reruns;
-        self.declined += s.declined_treewalk
-            + s.declined_few_pes
-            + s.declined_hardware
-            + s.declined_wall_deadline
-            + s.declined_budget_unproven;
-    }
-
-    /// Combine two aggregates.
-    pub fn merge(&mut self, o: &ShardAgg) {
-        self.static_proven += o.static_proven;
-        self.dynamic_logged += o.dynamic_logged;
-        self.conflicts += o.conflicts;
-        self.budget_reruns += o.budget_reruns;
-        self.declined += o.declined;
-    }
-
-    /// Merge-time conflict scans avoided by static proofs.
-    pub fn dynamic_checks_skipped(&self) -> u64 {
-        self.static_proven
     }
 }
 
@@ -400,59 +326,28 @@ pub fn run_grid_timed(
     pes: &[usize],
     schemes: &[Scheme],
 ) -> Result<(Vec<Vec<SchemeMatrix>>, GridTiming), PipelineError> {
-    run_grid_timed_with(kernels, pes, schemes, |_| {})
-}
-
-/// [`run_grid_timed`] with a configuration tweak applied to every cell on
-/// top of the kernel defaults and environment overrides (the tweak runs
-/// after [`cell_config`], so it wins). Used by the scaling probes, which
-/// force `SimOptions::sim_threads` per run.
-pub fn run_grid_timed_with(
-    kernels: &[BenchKernel],
-    pes: &[usize],
-    schemes: &[Scheme],
-    tweak: impl Fn(&mut PipelineConfig) + Sync,
-) -> Result<(Vec<Vec<SchemeMatrix>>, GridTiming), PipelineError> {
     use std::time::Instant;
 
     let t0 = Instant::now();
-    // What `cell_config` + tweak leave in the simulator's worker knob —
-    // recorded so the report (and the perf gate) know which engine
-    // configuration the wall numbers describe.
-    let sim_threads = {
-        let mut probe = PipelineConfig::t3d(2);
-        if let Ok(env) = EnvOverrides::from_env() {
-            env.apply(&mut probe);
-        }
-        tweak(&mut probe);
-        probe.sim.sim_threads.max(1)
-    };
     let n_cells = kernels.len() * pes.len();
     if n_cells == 0 {
         let grid = kernels.iter().map(|_| Vec::new()).collect();
         let timing = GridTiming {
             wall_seconds: t0.elapsed().as_secs_f64(),
             threads: 0,
-            sim_threads,
             seq: Vec::new(),
             cells: Vec::new(),
-            scaling: Vec::new(),
         };
         return Ok((grid, timing));
     }
     let threads =
         std::thread::available_parallelism().map_or(1, |n| n.get()).min(n_cells);
-    let cfg_for = |k: &BenchKernel, n_pes: usize| {
-        let mut cfg = cell_config(k, n_pes);
-        tweak(&mut cfg);
-        cfg
-    };
 
     // Stage 1: the per-kernel sequential denominators.
     let seq_runs = pooled(kernels.len(), threads, |ki| {
         let k = &kernels[ki];
         let t = Instant::now();
-        let r = run_seq(&k.program, &cfg_for(k, pes[0]));
+        let r = run_seq(&k.program, &cell_config(k, pes[0]));
         (r, t.elapsed().as_secs_f64())
     });
     let mut seqs = Vec::with_capacity(kernels.len());
@@ -463,7 +358,6 @@ pub fn run_grid_timed_with(
             wall_seconds: secs,
             sim_cycles: r.cycles,
             scheme_cycles: Vec::new(),
-            shard: ShardAgg::default(),
         });
         seqs.push(r);
     }
@@ -474,7 +368,7 @@ pub fn run_grid_timed_with(
         let k = &kernels[ki];
         let t = Instant::now();
         let r =
-            compare_with_seq(&k.program, &cfg_for(k, pes[pi]), seqs[ki].clone(), schemes);
+            compare_with_seq(&k.program, &cell_config(k, pes[pi]), seqs[ki].clone(), schemes);
         (r, t.elapsed().as_secs_f64())
     });
     let mut grid: Vec<Vec<SchemeMatrix>> = Vec::with_capacity(kernels.len());
@@ -495,48 +389,10 @@ pub fn run_grid_timed_with(
     let timing = GridTiming {
         wall_seconds: t0.elapsed().as_secs_f64(),
         threads,
-        sim_threads,
         seq: seq_timing,
         cells,
-        scaling: Vec::new(),
     };
     Ok((grid, timing))
-}
-
-/// One point of the intra-run scaling probe: the same grid timed with the
-/// simulator's worker knob forced to `sim_threads`.
-#[derive(Clone, Debug)]
-pub struct ScalingPoint {
-    /// The forced `SimOptions::sim_threads` value.
-    pub sim_threads: usize,
-    /// Host wall time of the whole grid at this thread count.
-    pub wall_seconds: f64,
-    /// Simulated cycles produced (identical at every thread count — the
-    /// sharded path is bit-exact; see `tests/parallel_equivalence.rs`).
-    pub sim_cycles: u64,
-}
-
-/// Time the same grid once per entry of `threads`, forcing the simulator's
-/// intra-run worker knob for every cell. Feeds the report's `perf.scaling`
-/// rows. Wall numbers are host observations and vary run to run; the
-/// simulated results are deterministic and thread-count-independent.
-pub fn measure_scaling(
-    kernels: &[BenchKernel],
-    pes: &[usize],
-    schemes: &[Scheme],
-    threads: &[usize],
-) -> Result<Vec<ScalingPoint>, PipelineError> {
-    let mut out = Vec::with_capacity(threads.len());
-    for &t in threads {
-        let (_, timing) =
-            run_grid_timed_with(kernels, pes, schemes, move |cfg| cfg.sim.sim_threads = t)?;
-        out.push(ScalingPoint {
-            sim_threads: t,
-            wall_seconds: timing.wall_seconds,
-            sim_cycles: timing.sim_cycles(),
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -557,25 +413,6 @@ mod unit {
             assert!(r.result.oracle.is_coherent(), "{} incoherent", s.name());
         }
         assert!(m.get(Scheme::Mesi).unwrap().result.total_stats().bus_txns > 0);
-    }
-
-    #[test]
-    fn scaling_probe_is_thread_count_invariant_in_simulated_work() {
-        let kernels = paper_kernels(Scale::Quick);
-        let points = measure_scaling(&kernels[..1], &[4], &[Scheme::Ccdp], &[1, 2])
-            .expect("coherent probe runs");
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].sim_threads, 1);
-        assert_eq!(points[1].sim_threads, 2);
-        // The knob changes host wall time only — never the simulation.
-        assert_eq!(points[0].sim_cycles, points[1].sim_cycles);
-        assert!(points.iter().all(|p| p.wall_seconds > 0.0 && p.sim_cycles > 0));
-        // And the recorded engine configuration reflects the forced knob.
-        let (_, t) = run_grid_timed_with(&kernels[..1], &[4], &[Scheme::Ccdp], |cfg| {
-            cfg.sim.sim_threads = 3;
-        })
-        .expect("coherent grid");
-        assert_eq!(t.sim_threads, 3);
     }
 
     #[test]

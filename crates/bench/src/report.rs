@@ -46,7 +46,7 @@ use crate::{BenchKernel, GridTiming, Scale};
 /// changed shape; v6 consumers that ignore unknown top-level sections read
 /// v7 documents unchanged.
 /// v8: the `perf` section records `sim_threads` — the simulator's
-/// intra-run worker knob (`CCDP_SIM_THREADS`) in effect for the timed run,
+/// intra-run worker count in effect for the timed run,
 /// so the gate never compares wall numbers across engine configurations —
 /// and, on fresh healthy runs, a `scaling` array: the same quick grid
 /// re-timed at several `sim_threads` values with `speedup_vs_1` per point.
@@ -67,7 +67,11 @@ use crate::{BenchKernel, GridTiming, Scale};
 /// shard-independence analysis, with CCDP006/CCDP007 findings in the
 /// existing findings lists. Additive; v9 consumers read v10 documents
 /// unchanged.
-pub const SCHEMA_VERSION: u32 = 10;
+/// v11: the intra-run sharded engine is gone, and with it `perf.sim_threads`,
+/// `perf.scaling`, `perf.shard` and the `lint` section's per-program `shard`
+/// counts. Nothing else changed shape; readers of v10 documents ignore the
+/// removed fields.
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// How the committed report document read out as a perf-gate baseline.
 /// Produced by [`perf_baseline`]; the `perf_gate` bin turns these into
@@ -81,13 +85,8 @@ pub enum Baseline {
     /// understands: comparing against a reshaped layout could pass or fail
     /// for the wrong reason, so the gate must hard-error.
     NewerSchema(u64),
-    /// A usable baseline: the committed quick-grid wall seconds, plus the
-    /// simulator worker count they were measured under (`perf.sim_threads`;
-    /// documents older than schema v8 read as 1, the serial engine). The
-    /// gate refuses to compare a candidate run against a baseline taken at
-    /// a different `sim_threads` — that would measure the knob, not a
-    /// regression.
-    Wall { wall_seconds: f64, sim_threads: u64 },
+    /// A usable baseline: the committed quick-grid wall seconds.
+    Wall { wall_seconds: f64 },
 }
 
 /// Classify a report document as a perf-gate baseline. Forward-compatible
@@ -100,15 +99,8 @@ pub fn perf_baseline(doc: &Json) -> Baseline {
             return Baseline::NewerSchema(v);
         }
     }
-    let perf = doc.get("perf");
-    match perf.and_then(|p| p.get("wall_seconds")).and_then(Json::as_f64) {
-        Some(w) if w > 0.0 => Baseline::Wall {
-            wall_seconds: w,
-            sim_threads: perf
-                .and_then(|p| p.get("sim_threads"))
-                .and_then(Json::as_u64)
-                .unwrap_or(1),
-        },
+    match doc.get("perf").and_then(|p| p.get("wall_seconds")).and_then(Json::as_f64) {
+        Some(w) if w > 0.0 => Baseline::Wall { wall_seconds: w },
         _ => Baseline::Missing,
     }
 }
@@ -204,51 +196,14 @@ pub fn perf_json(names: &[&str], pes: &[usize], t: &GridTiming) -> Json {
             ])
         })
     }));
-    let shard = t.shard();
-    let mut fields = vec![
+    Json::obj([
         ("wall_seconds", t.wall_seconds.to_json()),
         ("sim_cycles", t.sim_cycles().to_json()),
         ("cycles_per_second", t.cycles_per_second().to_json()),
         ("threads", t.threads.to_json()),
-        ("sim_threads", t.sim_threads.to_json()),
-        (
-            "shard",
-            Json::obj([
-                ("static_proven", shard.static_proven.to_json()),
-                ("dynamic_logged", shard.dynamic_logged.to_json()),
-                ("conflicts", shard.conflicts.to_json()),
-                ("budget_reruns", shard.budget_reruns.to_json()),
-                ("declined", shard.declined.to_json()),
-                ("dynamic_checks_skipped", shard.dynamic_checks_skipped().to_json()),
-            ]),
-        ),
         ("seq", seq),
         ("cells", cells),
-    ];
-    if !t.scaling.is_empty() {
-        let serial = t
-            .scaling
-            .iter()
-            .find(|p| p.sim_threads == 1)
-            .map(|p| p.wall_seconds)
-            .filter(|&w| w > 0.0);
-        fields.push((
-            "scaling",
-            Json::arr(t.scaling.iter().map(|p| {
-                let mut point = vec![
-                    ("sim_threads", p.sim_threads.to_json()),
-                    ("wall_seconds", p.wall_seconds.to_json()),
-                    ("sim_cycles", p.sim_cycles.to_json()),
-                    ("cycles_per_second", rate(p.sim_cycles, p.wall_seconds).to_json()),
-                ];
-                if let Some(base) = serial.filter(|_| p.wall_seconds > 0.0) {
-                    point.push(("speedup_vs_1", (base / p.wall_seconds).to_json()));
-                }
-                Json::obj(point)
-            })),
-        ));
-    }
-    Json::obj(fields)
+    ])
 }
 
 /// Assemble the report document from per-cell JSON values, indexed
@@ -333,35 +288,34 @@ mod unit {
     use crate::{paper_kernels, run_grid_timed};
 
     /// Pins the gate's forward-compat contract: additive sections (v7's
-    /// `service`, v8's `perf.scaling`) are ignored, only a genuinely newer
-    /// schema is rejected — and pre-v8 baselines read as the serial engine.
+    /// `service`) and fields a later schema removed (v10's
+    /// `perf.sim_threads`/`scaling`/`shard`) are ignored; only a genuinely
+    /// newer schema is rejected.
     #[test]
     fn perf_baseline_forward_compat() {
-        let v8 = ccdp_json::parse(
-            r#"{"schema_version": 8,
+        let v10 = ccdp_json::parse(
+            r#"{"schema_version": 10,
                 "perf": {"wall_seconds": 2.5, "sim_threads": 4,
+                         "shard": {"static_proven": 3, "dynamic_logged": 1,
+                                   "conflicts": 1, "budget_reruns": 0,
+                                   "declined": 2, "dynamic_checks_skipped": 3},
                          "scaling": [{"sim_threads": 1, "wall_seconds": 5.0}]},
+                "lint": {"cells": [{"kernel": "MXM",
+                                    "shard": {"doalls": 4, "disjoint": 4,
+                                              "may_conflict": 0, "unknown": 0}}]},
                 "service": {"profiles": [{"name": "soak", "qps": 120.0}]}}"#,
         )
         .unwrap();
-        assert_eq!(
-            perf_baseline(&v8),
-            Baseline::Wall { wall_seconds: 2.5, sim_threads: 4 }
-        );
+        assert_eq!(perf_baseline(&v10), Baseline::Wall { wall_seconds: 2.5 });
 
-        // Older documents (no sim_threads recorded) were measured by the
-        // serial engine — the only one that existed.
         let v7 = ccdp_json::parse(r#"{"schema_version": 7, "perf": {"wall_seconds": 1.0}}"#)
             .unwrap();
-        assert_eq!(
-            perf_baseline(&v7),
-            Baseline::Wall { wall_seconds: 1.0, sim_threads: 1 }
-        );
+        assert_eq!(perf_baseline(&v7), Baseline::Wall { wall_seconds: 1.0 });
 
         // Newer-than-us must be a hard signal, not a silent comparison.
-        let v11 = ccdp_json::parse(r#"{"schema_version": 11, "perf": {"wall_seconds": 1.0}}"#)
+        let v12 = ccdp_json::parse(r#"{"schema_version": 12, "perf": {"wall_seconds": 1.0}}"#)
             .unwrap();
-        assert_eq!(perf_baseline(&v11), Baseline::NewerSchema(11));
+        assert_eq!(perf_baseline(&v12), Baseline::NewerSchema(12));
 
         // Service-only documents (no perf timing) skip, not error.
         let no_perf =
@@ -377,15 +331,11 @@ mod unit {
         let kernels = paper_kernels(Scale::Quick);
         let pes = [2usize];
         let schemes = crate::GRID_SCHEMES;
-        let (grid, mut timing) =
+        let (grid, timing) =
             run_grid_timed(&kernels[..2], &pes, &schemes).expect("coherent grid");
-        timing.scaling = vec![
-            crate::ScalingPoint { sim_threads: 1, wall_seconds: 4.0, sim_cycles: 100 },
-            crate::ScalingPoint { sim_threads: 2, wall_seconds: 2.5, sim_cycles: 100 },
-        ];
         let j =
             report_json(Scale::Quick, 9, &pes, &schemes, &kernels[..2], &grid, Some(&timing));
-        assert_eq!(j.get("schema_version").and_then(Json::as_u64), Some(10));
+        assert_eq!(j.get("schema_version").and_then(Json::as_u64), Some(11));
         assert_eq!(j.get("scale").and_then(Json::as_str), Some("quick"));
         assert_eq!(j.get("seed").and_then(Json::as_u64), Some(9));
         let schemes_json = j.get("schemes").unwrap().items();
@@ -432,27 +382,10 @@ mod unit {
         assert!(perf.get("wall_seconds").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(perf.get("sim_cycles").and_then(Json::as_u64).unwrap() > 0);
         assert!(perf.get("threads").and_then(Json::as_u64).unwrap() >= 1);
-        // v8: the engine configuration the wall numbers describe, plus the
-        // attached scaling probe with derived speedup_vs_1.
-        assert!(perf.get("sim_threads").and_then(Json::as_u64).unwrap() >= 1);
-        // v10: shard-path counters, with the derived skip count tied to the
-        // static-proof count.
-        let shard = perf.get("shard").expect("shard counters (schema v10)");
-        for key in
-            ["static_proven", "dynamic_logged", "conflicts", "budget_reruns", "declined"]
-        {
-            assert!(shard.get(key).and_then(Json::as_u64).is_some(), "missing shard.{key}");
+        // v11: the removed engine's fields are gone.
+        for key in ["sim_threads", "scaling", "shard"] {
+            assert!(perf.get(key).is_none(), "perf.{key} is gone in v11");
         }
-        assert_eq!(
-            shard.get("dynamic_checks_skipped").and_then(Json::as_u64),
-            shard.get("static_proven").and_then(Json::as_u64),
-        );
-        let scaling = perf.get("scaling").expect("scaling probe rows").items();
-        assert_eq!(scaling.len(), 2);
-        assert_eq!(scaling[0].get("sim_threads").and_then(Json::as_u64), Some(1));
-        assert_eq!(scaling[1].get("sim_threads").and_then(Json::as_u64), Some(2));
-        let s1 = scaling[1].get("speedup_vs_1").and_then(Json::as_f64).unwrap();
-        assert!((s1 - 1.6).abs() < 1e-12, "4.0s / 2.5s = 1.6x, got {s1}");
         let cell0 = &perf.get("cells").unwrap().items()[0];
         assert_eq!(cell0.get("kernel").and_then(Json::as_str), Some("MXM"));
         assert_eq!(cell0.get("n_pes").and_then(Json::as_u64), Some(2));
@@ -465,7 +398,7 @@ mod unit {
         assert_eq!(cell0.get("sim_cycles").and_then(Json::as_u64), Some(sum));
         // The whole document survives a print→parse round trip.
         let parsed = ccdp_json::parse(&j.to_pretty()).unwrap();
-        assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(10));
+        assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(11));
         // Omitting timing omits the section (ablation callers).
         let j2 = report_json(Scale::Quick, 9, &pes, &schemes, &kernels[..2], &grid, None);
         assert!(j2.get("perf").is_none());

@@ -19,9 +19,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use ccdp_core::{
-    compare_with_seq, run_seq, EnvOverrides, PipelineConfig, PipelineError, Scheme, SchemeMatrix,
-};
+use ccdp_core::{compare_with_seq, run_seq, PipelineConfig, PipelineError, Scheme, SchemeMatrix};
 use t3d_sim::{FaultPlan, SimResult};
 
 use crate::{cell_config, pooled, BenchKernel, CellTiming, GridTiming};
@@ -323,7 +321,6 @@ pub fn run_grid_isolated(
                     wall_seconds: *secs,
                     sim_cycles: cycles,
                     scheme_cycles: Vec::new(),
-                    shard: Default::default(),
                 }
             })
             .collect();
@@ -336,13 +333,8 @@ pub fn run_grid_isolated(
         Some(GridTiming {
             wall_seconds: t0.elapsed().as_secs_f64(),
             threads,
-            sim_threads: EnvOverrides::from_env()
-                .ok()
-                .and_then(|e| e.sim_threads)
-                .unwrap_or(1),
             seq: seq_timing,
             cells: cell_timing,
-            scaling: Vec::new(),
         })
     } else {
         None

@@ -12,8 +12,7 @@
 //! * every potentially-stale reference ends up `Fresh` or `Bypass`.
 
 use ccdp_ir::{
-    find_doall, Affine, ArrayId, ArrayRef, Assign, CondB, EpochId, EpochKind, LoopId, LoopKind,
-    PrefetchKind, Program, ProgramBuilder, ProgramItem, RefId, Sharing, Stmt, ValExpr, Var, VExpr,
+    Affine, CondB, PrefetchKind, Program, ProgramBuilder, ProgramItem, RefId, Stmt, Var, VExpr,
 };
 use ccdp_prefetch::{Handling, PrefetchPlan};
 use rand::rngs::StdRng;
@@ -436,180 +435,6 @@ pub fn mutate_plan(
     st.applied
 }
 
-/// One seeded corruption of an *original* (pre-compilation) program's shard
-/// independence — the program-level counterpart of [`PlanMutation`], which
-/// corrupts the prefetch plan. A write to one fixed element of a shared
-/// array already written under a statically scheduled DOALL is injected at
-/// the head of the DOALL body, so every PE block writes (and reads) the same
-/// cache line. The static shard analysis must answer non-`Disjoint` for that
-/// loop (lint `CCDP006`), and an epoch-sharded run must record a merge-time
-/// conflict for it — `tests/shard_analysis.rs` cross-validates both against
-/// each other.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProgramMutation {
-    /// `array(0,…,0) = array(0,…,0) * 0.5 + 1.0` inserted at the head of
-    /// the DOALL body of epoch `epoch`.
-    CrossBlockWrite { epoch: String, doall: LoopId, array: ArrayId, write: RefId },
-}
-
-impl ProgramMutation {
-    /// Mirror of [`PlanMutation::changes_handling`]: does this mutation
-    /// change the simulated numerics? Every program mutation does (the
-    /// injected write lands on a live element), so harnesses assert verdict
-    /// agreement — static non-`Disjoint` plus a dynamic merge conflict —
-    /// never byte-identity with the unmutated run.
-    pub fn changes_numerics(&self) -> bool {
-        matches!(self, ProgramMutation::CrossBlockWrite { .. })
-    }
-}
-
-impl std::fmt::Display for ProgramMutation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProgramMutation::CrossBlockWrite { epoch, doall, array, write } => write!(
-                f,
-                "inject cross-block write ref #{} to array #{} element 0 into doall L{} of epoch '{epoch}'",
-                write.index(),
-                array.index(),
-                doall.index()
-            ),
-        }
-    }
-}
-
-/// An eligible injection site: a parallel epoch whose DOALL is statically
-/// scheduled and writes at least one shared array.
-#[derive(Clone)]
-struct ShardSite {
-    epoch: EpochId,
-    label: String,
-    doall: LoopId,
-    array: ArrayId,
-    rank: usize,
-}
-
-fn first_shared_write(program: &Program, stmts: &[Stmt]) -> Option<ArrayId> {
-    for s in stmts {
-        match s {
-            Stmt::Assign(a) if program.array(a.write.array).sharing == Sharing::Shared => {
-                return Some(a.write.array);
-            }
-            Stmt::Loop(l) => {
-                if let Some(x) = first_shared_write(program, &l.body) {
-                    return Some(x);
-                }
-            }
-            Stmt::If(i) => {
-                if let Some(x) = first_shared_write(program, &i.then_branch)
-                    .or_else(|| first_shared_write(program, &i.else_branch))
-                {
-                    return Some(x);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn collect_shard_sites(program: &Program, items: &[ProgramItem], out: &mut Vec<ShardSite>) {
-    for it in items {
-        match it {
-            ProgramItem::Epoch(e) if e.kind == EpochKind::Parallel => {
-                if let Some((_, d)) = find_doall(&e.stmts) {
-                    if d.kind == LoopKind::DoAllStatic {
-                        if let Some(a) = first_shared_write(program, &d.body) {
-                            out.push(ShardSite {
-                                epoch: e.id,
-                                label: e.label.clone(),
-                                doall: d.id,
-                                array: a,
-                                rank: program.array(a).rank(),
-                            });
-                        }
-                    }
-                }
-            }
-            ProgramItem::Repeat { body, .. } => collect_shard_sites(program, body, out),
-            _ => {}
-        }
-    }
-}
-
-/// Insert `stmt` at the head of the epoch's static DOALL body. Returns
-/// whether the target epoch was found under `items`.
-fn inject_conflict(items: &mut [ProgramItem], epoch: EpochId, stmt: &Stmt) -> bool {
-    fn into_doall(stmts: &mut [Stmt], stmt: &Stmt) -> bool {
-        for s in stmts {
-            if let Stmt::Loop(l) = s {
-                if l.kind == LoopKind::DoAllStatic {
-                    l.body.insert(0, stmt.clone());
-                    return true;
-                }
-                if into_doall(&mut l.body, stmt) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-    for it in items {
-        match it {
-            ProgramItem::Epoch(e) if e.id == epoch => return into_doall(&mut e.stmts, stmt),
-            // Not collapsible into a pattern guard: guards take the binding
-            // immutably, and the recursion mutates `body`.
-            #[allow(clippy::collapsible_match)]
-            ProgramItem::Repeat { body, .. } => {
-                if inject_conflict(body, epoch, stmt) {
-                    return true;
-                }
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Seed a single deterministic shard-independence corruption into an
-/// **original** (pre-compilation) program. Sites are the eligible DOALLs in
-/// program order (main items, then routines) and `seed` indexes into them,
-/// so a sweep over seeds exercises every eligible epoch. Returns `None` only
-/// when no parallel epoch has a statically scheduled DOALL writing a shared
-/// array — nothing whose disjointness could be corrupted.
-pub fn mutate_program(seed: u64, program: &mut Program) -> Option<ProgramMutation> {
-    let mut sites = Vec::new();
-    collect_shard_sites(program, &program.items, &mut sites);
-    for r in &program.routines {
-        collect_shard_sites(program, &r.items, &mut sites);
-    }
-    if sites.is_empty() {
-        return None;
-    }
-    let site = sites[(seed % sites.len() as u64) as usize].clone();
-    let write = RefId(program.n_refs);
-    let read = RefId(program.n_refs + 1);
-    program.n_refs += 2;
-    let zeros = vec![Affine::constant(0); site.rank];
-    let stmt = Stmt::Assign(Assign {
-        write: ArrayRef { id: write, array: site.array, index: zeros.clone() },
-        reads: vec![ArrayRef { id: read, array: site.array, index: zeros }],
-        expr: ValExpr::Add(
-            Box::new(ValExpr::Mul(Box::new(ValExpr::Read(0)), Box::new(ValExpr::Lit(0.5)))),
-            Box::new(ValExpr::Lit(1.0)),
-        ),
-        extra_cost: 0,
-    });
-    let ok = inject_conflict(&mut program.items, site.epoch, &stmt)
-        || program.routines.iter_mut().any(|r| inject_conflict(&mut r.items, site.epoch, &stmt));
-    debug_assert!(ok, "site enumeration and injection walk disagree");
-    Some(ProgramMutation::CrossBlockWrite {
-        epoch: site.label,
-        doall: site.doall,
-        array: site.array,
-        write,
-    })
-}
-
 #[cfg(test)]
 mod unit {
     use super::*;
@@ -629,30 +454,6 @@ mod unit {
             let p = random_program(seed, &cfg);
             assert!(ccdp_ir::validate(&p).is_ok(), "seed {seed}");
             assert!(!p.epochs().is_empty());
-        }
-    }
-
-    /// The shard-conflict mutator must produce a *valid* program (the
-    /// corruption it models is a semantic race, not an IR defect) with
-    /// fresh `RefId`s, and be deterministic in the seed.
-    #[test]
-    fn program_mutator_injects_a_valid_cross_block_write() {
-        let cfg = SynthConfig::default();
-        for seed in 0..20 {
-            let mut p = random_program(seed, &cfg);
-            let before = p.n_refs;
-            let m = mutate_program(seed, &mut p)
-                .expect("every synth program starts with an aligned init doall");
-            assert!(ccdp_ir::validate(&p).is_ok(), "seed {seed}: {m}");
-            assert_eq!(p.n_refs, before + 2);
-            let ProgramMutation::CrossBlockWrite { write, .. } = &m;
-            assert!(write.index() >= before as usize, "seed {seed}: stale RefId");
-            assert!(m.changes_numerics());
-
-            let mut q = random_program(seed, &cfg);
-            let m2 = mutate_program(seed, &mut q).unwrap();
-            assert_eq!(m, m2, "seed {seed}: mutator not deterministic");
-            assert_eq!(ccdp_ir::print_program(&p), ccdp_ir::print_program(&q));
         }
     }
 }

@@ -214,10 +214,14 @@ impl PipelineConfig {
         self
     }
 
-    /// Check the machine model and fault plan before simulating.
+    /// Check the machine model, fault plan and thread count before
+    /// simulating.
     pub fn validate(&self) -> Result<(), PipelineError> {
         self.machine.validate()?;
         self.sim.faults.validate()?;
+        if self.sim.sim_threads > 1 {
+            return Err(ConfigError::SimThreads { value: self.sim.sim_threads }.into());
+        }
         Ok(())
     }
 
@@ -723,6 +727,24 @@ mod unit {
             compare(&p, &cfg, &[Scheme::Base]),
             Err(PipelineError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn sim_threads_above_one_is_rejected() {
+        let p = kernel();
+        for t in [0, 1] {
+            let mut cfg = PipelineConfig::t3d(4);
+            cfg.sim.sim_threads = t;
+            assert!(cfg.validate().is_ok(), "sim_threads = {t} rejected");
+        }
+        let mut cfg = PipelineConfig::t3d(4);
+        cfg.sim.sim_threads = 2;
+        let Err(err) = cfg.run(&p, Scheme::Ccdp) else { panic!("sim_threads = 2 accepted") };
+        assert!(
+            matches!(err, PipelineError::InvalidConfig(ConfigError::SimThreads { value: 2 })),
+            "{err}"
+        );
+        assert!(format!("{err}").contains("sharded engine was removed"), "{err}");
     }
 
     #[test]

@@ -29,14 +29,11 @@
 //! | CCDP003 | phase-race           | error    | cross-PE write overlap in one phase|
 //! | CCDP004 | vpg-overflow         | error    | vector prefetch exceeds the cache  |
 //! | CCDP005 | sp-queue-overflow    | error    | pipelined distance overflows queue |
-//! | CCDP006 | shard-conflict       | warning  | PE blocks may share a cache line   |
-//! | CCDP007 | shard-unknown        | warning  | shard footprints not statically bounded |
+//! | CCDP006 | *retired*            |          | never reused                       |
+//! | CCDP007 | *retired*            |          | never reused                       |
 //!
-//! CCDP006/007 come from [`verify_sharding`] — the static shard-independence
-//! audit (`analysis::shard`) — not from [`verify`]: they are warnings, not
-//! soundness errors, because a non-`Disjoint` epoch still executes correctly
-//! (the simulator keeps its dynamic conflict log); it merely cannot take the
-//! proven log-free fork/join fast path.
+//! CCDP006/007 belonged to a static audit of the removed intra-run sharded
+//! engine. The codes stay retired so old reports cannot be misread.
 //!
 //! Known precision limits (documented, not bugs): CCDP003 only examines
 //! writes with exact per-PE sections (PE-specific, no wrapper-loop variable,
@@ -85,19 +82,15 @@ pub enum LintCode {
     PhaseRace,
     VpgOverflow,
     SpQueueOverflow,
-    ShardConflict,
-    ShardUnknown,
 }
 
 impl LintCode {
-    pub const ALL: [LintCode; 7] = [
+    pub const ALL: [LintCode; 5] = [
         LintCode::UncoveredStaleRead,
         LintCode::DeadPrefetch,
         LintCode::PhaseRace,
         LintCode::VpgOverflow,
         LintCode::SpQueueOverflow,
-        LintCode::ShardConflict,
-        LintCode::ShardUnknown,
     ];
 
     pub fn code(self) -> &'static str {
@@ -107,8 +100,6 @@ impl LintCode {
             LintCode::PhaseRace => "CCDP003",
             LintCode::VpgOverflow => "CCDP004",
             LintCode::SpQueueOverflow => "CCDP005",
-            LintCode::ShardConflict => "CCDP006",
-            LintCode::ShardUnknown => "CCDP007",
         }
     }
 
@@ -119,16 +110,12 @@ impl LintCode {
             LintCode::PhaseRace => "phase-race",
             LintCode::VpgOverflow => "vpg-overflow",
             LintCode::SpQueueOverflow => "sp-queue-overflow",
-            LintCode::ShardConflict => "shard-conflict",
-            LintCode::ShardUnknown => "shard-unknown",
         }
     }
 
     pub fn severity(self) -> Severity {
         match self {
-            LintCode::DeadPrefetch
-            | LintCode::ShardConflict
-            | LintCode::ShardUnknown => Severity::Warning,
+            LintCode::DeadPrefetch => Severity::Warning,
             _ => Severity::Error,
         }
     }
@@ -509,116 +496,6 @@ fn push_race_findings(
     }
 }
 
-/// Per-epoch verdict counts from a [`verify_sharding`] audit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounts {
-    /// Parallel epochs audited (one DOALL each).
-    pub doalls: usize,
-    pub disjoint: usize,
-    pub may_conflict: usize,
-    pub unknown: usize,
-}
-
-impl ShardCounts {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("doalls", (self.doalls as u64).to_json()),
-            ("disjoint", (self.disjoint as u64).to_json()),
-            ("may_conflict", (self.may_conflict as u64).to_json()),
-            ("unknown", (self.unknown as u64).to_json()),
-        ])
-    }
-}
-
-/// Static shard-independence audit (`analysis::shard`): one verdict per
-/// parallel epoch's DOALL at one-PE-per-block granularity, rendered as
-/// stable diagnostics — CCDP006 `shard-conflict` with the concrete witness
-/// (cache line + the writing and touching references), CCDP007
-/// `shard-unknown` with the blocking reference or loop. Both are
-/// **warnings**: a non-`Disjoint` epoch still executes correctly under the
-/// dynamic conflict log, it just cannot take the proven log-free fast path,
-/// so `LintReport::is_sound` is unaffected.
-///
-/// Findings are deterministic: epochs in schedule order, first occurrence
-/// per epoch id, witness = smallest conflicting line of the first
-/// conflicting block pair. With fewer than two PEs there is nothing to
-/// shard and no findings are produced.
-pub fn verify_sharding(
-    program: &Program,
-    layout: &Layout,
-    line_words: usize,
-) -> (Vec<Finding>, ShardCounts) {
-    use ccdp_analysis::ShardVerdict;
-
-    let mut counts = ShardCounts::default();
-    let mut findings = Vec::new();
-    if layout.n_pes() < 2 {
-        return (findings, counts);
-    }
-    // RefId → rendered reference, for witness locations. Line-prefetch
-    // pseudo-refs in the analysis carry their covered read's id, so this
-    // resolves them to the covered reference.
-    let mut ref_render: HashMap<RefId, String> = HashMap::new();
-    for e in program.epochs() {
-        for cr in collect_refs_in_stmts(&e.stmts) {
-            ref_render
-                .entry(cr.r.id)
-                .or_insert_with(|| render_ref(program, &cr.r));
-        }
-    }
-    let loc_of = |rid: RefId| {
-        ref_render
-            .get(&rid)
-            .cloned()
-            .unwrap_or_else(|| format!("ref #{}", rid.index()))
-    };
-
-    for dv in ccdp_analysis::shard_scan(program, layout, line_words) {
-        counts.doalls += 1;
-        match &dv.verdict {
-            ShardVerdict::Disjoint => counts.disjoint += 1,
-            ShardVerdict::MayConflict(w) => {
-                counts.may_conflict += 1;
-                findings.push(Finding {
-                    code: LintCode::ShardConflict,
-                    severity: LintCode::ShardConflict.severity(),
-                    epoch: dv.label.clone(),
-                    rid: Some(w.write),
-                    location: format!("{} / {}", loc_of(w.write), loc_of(w.touch)),
-                    message: format!(
-                        "PE blocks {} and {} may share cache line {} of `{}`: \
-                         the earlier block writes it, the later block touches \
-                         it; the sharded engine keeps its dynamic conflict log",
-                        w.blocks.0,
-                        w.blocks.1,
-                        w.line,
-                        program.array(w.array).name,
-                    ),
-                });
-            }
-            ShardVerdict::Unknown(b) => {
-                counts.unknown += 1;
-                findings.push(Finding {
-                    code: LintCode::ShardUnknown,
-                    severity: LintCode::ShardUnknown.severity(),
-                    epoch: dv.label.clone(),
-                    rid: b.rid(),
-                    location: b
-                        .rid()
-                        .map(&loc_of)
-                        .unwrap_or_else(|| format!("doall #{}", dv.doall.index())),
-                    message: format!(
-                        "shard footprints cannot be statically bounded: {}; \
-                         the sharded engine keeps its dynamic conflict log",
-                        b.describe()
-                    ),
-                });
-            }
-        }
-    }
-    (findings, counts)
-}
-
 /// Static audit for the hardware-coherence schemes (MESI / Dragon): the
 /// snooping protocol discharges every read-coverage obligation in hardware,
 /// so there is no plan to check — but a write-write overlap inside one
@@ -982,68 +859,6 @@ mod unit {
             &ScheduleOptions::default(),
         );
         (tp, plan, layout)
-    }
-
-    #[test]
-    fn shard_audit_emits_deterministic_ccdp006_and_007() {
-        let n = 32i64;
-        let mut pb = ProgramBuilder::new("t");
-        let a = pb.shared("A", &[32, 32]);
-        // Column stencil reading the previous block's last column: CCDP006.
-        pb.parallel_epoch("stencil", |e| {
-            e.doall("j", 1, n - 1, |e, j| {
-                e.serial("i", 0, n - 1, |e, i| {
-                    e.assign(a.at2(i, j), a.at2(i, j - 1).rd() * 0.5);
-                });
-            });
-        });
-        // Guarded write inside the DOALL: CCDP007.
-        pb.parallel_epoch("guarded", |e| {
-            e.doall("j", 0, n - 1, |e, j| {
-                e.serial("i", 0, n - 1, |e, i| {
-                    e.if_(ccdp_ir::CondB::gt(i, 3), |e| {
-                        e.assign(a.at2(i, j), 2.0);
-                    });
-                });
-            });
-        });
-        // Clean column sweep: no finding.
-        pb.parallel_epoch("clean", |e| {
-            e.doall("j", 0, n - 1, |e, j| {
-                e.serial("i", 0, n - 1, |e, i| {
-                    e.assign(a.at2(i, j), a.at2(i, j).rd() + 1.0);
-                });
-            });
-        });
-        let p = pb.finish().unwrap();
-        let layout = Layout::new(&p, 4);
-        let (findings, counts) = verify_sharding(&p, &layout, 4);
-        assert_eq!(
-            (counts.doalls, counts.disjoint, counts.may_conflict, counts.unknown),
-            (3, 1, 1, 1)
-        );
-        assert_eq!(findings.len(), 2);
-        assert_eq!(findings[0].code, LintCode::ShardConflict);
-        assert_eq!(findings[0].code.code(), "CCDP006");
-        assert_eq!(findings[0].epoch, "stencil");
-        assert_eq!(findings[0].severity, Severity::Warning);
-        assert_eq!(findings[1].code, LintCode::ShardUnknown);
-        assert_eq!(findings[1].code.code(), "CCDP007");
-        assert_eq!(findings[1].epoch, "guarded");
-        // Deterministic: byte-identical renderings on a second run.
-        let (again, counts2) = verify_sharding(&p, &layout, 4);
-        assert_eq!(counts, counts2);
-        let render = |fs: &[Finding]| {
-            fs.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
-        };
-        assert_eq!(render(&findings), render(&again));
-        // Shard warnings never flip soundness, and one PE has nothing to
-        // shard.
-        let rep = LintReport { findings, ..Default::default() };
-        assert!(rep.is_sound());
-        let (none, c1) = verify_sharding(&p, &Layout::new(&p, 1), 4);
-        assert!(none.is_empty());
-        assert_eq!(c1.doalls, 0);
     }
 
     #[test]

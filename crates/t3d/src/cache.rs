@@ -6,11 +6,6 @@
 /// each word at fill time — consumed by the coherence oracle — and (b) the
 /// **phase** (barrier interval) and **ready cycle** of the fill — consumed
 /// by the `Fresh` read handling and the prefetch timing model.
-///
-/// `Clone` exists for the epoch-sharded parallel path: each worker clones
-/// the caches of the PEs in its block and the merged clones replace the
-/// originals at the barrier.
-#[derive(Clone)]
 pub struct Cache {
     n_lines: usize,
     line_words: usize,

@@ -26,10 +26,12 @@ pub enum ConfigError {
     /// A fault-plan burst/multiplier parameter is out of range.
     BadFaultParam { field: &'static str, value: u64, need: &'static str },
     /// An environment override variable holds an unparsable value
-    /// (`CCDP_FORCE_TREEWALK` / `CCDP_SEED` / `CCDP_SCALE` /
-    /// `CCDP_SIM_THREADS` / `CCDP_SHARD_STATIC`; see the core crate's
-    /// `EnvOverrides`).
+    /// (`CCDP_FORCE_TREEWALK` / `CCDP_SEED` / `CCDP_SCALE` / …; see the
+    /// core crate's `EnvOverrides`).
     BadEnv { var: &'static str, value: String, need: &'static str },
+    /// `SimOptions::sim_threads > 1`: asks for the removed intra-run
+    /// sharded engine.
+    SimThreads { value: usize },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -58,6 +60,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadEnv { var, value, need } => {
                 write!(f, "environment override {var}={value:?}: {need}")
             }
+            ConfigError::SimThreads { value } => write!(
+                f,
+                "sim_threads = {value}: the intra-run sharded engine was removed and the \
+                 simulator is serial; use 0 or 1"
+            ),
         }
     }
 }
@@ -292,8 +299,9 @@ impl Scheme {
     }
 }
 
-/// Simulation options.
-#[derive(Clone, Copy, Debug)]
+/// Simulation options. The default runs with nothing sampled, traced,
+/// injected or budgeted.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SimOptions {
     /// When `Some(k)`, a `Repeat { count }` block with `count > k` runs only
     /// `k` iterations and extrapolates total cycles from the steady-state
@@ -329,42 +337,10 @@ pub struct SimOptions {
     /// killed from outside, so this is how the harness bounds a cell's wall
     /// time. `None` = no deadline.
     pub wall_deadline: Option<std::time::Instant>,
-    /// Worker threads for intra-run PE sharding (also settable via
-    /// `CCDP_SIM_THREADS`). `0` or `1` (the default) = serial. With `t > 1`
-    /// each software-scheme DOALL epoch is split into `min(t, n_pes)`
-    /// contiguous PE blocks simulated concurrently and merged
-    /// deterministically at the barrier — byte-identical to the serial run
-    /// by contract (`tests/parallel_equivalence.rs`). Hardware schemes
-    /// (MESI/Dragon) and wall-deadline runs always take the serial path;
-    /// cycle/step-budgeted runs shard only when the epoch is statically
-    /// proven disjoint (see [`SimOptions::shard_static`]).
+    /// Host threads per run. The simulator is serial and never reads this
+    /// field; it exists only so the benchmark can print it on its
+    /// provenance line. `PipelineConfig::validate` rejects values above 1.
     pub sim_threads: usize,
-    /// Consult the static shard-independence analysis (`analysis::shard`)
-    /// before sharding a DOALL (also settable via `CCDP_SHARD_STATIC=0|1`).
-    /// A statically proven-disjoint epoch skips the per-block access log
-    /// and the merge-time conflict scan entirely (pure fork/join), and
-    /// becomes eligible for sharding even under cycle/step budgets via
-    /// per-block budget slicing. `false` forces the dynamic conflict-log
-    /// path for every sharded epoch (the verdict is ignored); results are
-    /// byte-identical either way. Default `true`.
-    pub shard_static: bool,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            repeat_sample: None,
-            oracle_examples: 0,
-            trace_capacity: 0,
-            faults: FaultPlan::none(),
-            force_treewalk: false,
-            cycle_budget: None,
-            step_budget: None,
-            wall_deadline: None,
-            sim_threads: 0,
-            shard_static: true,
-        }
-    }
 }
 
 /// Why a simulation was aborted before completion. Returned by

@@ -261,12 +261,6 @@ const N_STREAMS: usize = 4;
 /// Runtime state of the injectors: per-(PE, kind) RNG streams, burst
 /// counters, and the set of lines whose prefetch was faulted (consulted to
 /// attribute subsequent demand fills as fallbacks).
-///
-/// Every field is per-PE, which is what makes the epoch-sharded parallel
-/// path sound: a worker clones the engine, advances only its own PEs'
-/// streams, and [`FaultEngine::absorb_pe`] splices those PEs' state back —
-/// the merged engine is indistinguishable from a serial run.
-#[derive(Clone)]
 pub(crate) struct FaultEngine {
     plan: FaultPlan,
     streams: Vec<StdRng>,
@@ -368,19 +362,6 @@ impl FaultEngine {
     /// Was this demand fill recovering a faulted line? Consumes the mark.
     pub fn take_fallback(&mut self, pe: usize, line_addr: u64) -> bool {
         self.faulted_lines[pe].remove(&line_addr)
-    }
-
-    /// Splice `pe`'s decision streams, burst counters, and faulted-line set
-    /// from `other` (a shard worker's clone that simulated `pe`) into this
-    /// engine. All engine state is per-PE, so absorbing each PE from the
-    /// worker that ran it reproduces the serial engine exactly.
-    pub fn absorb_pe(&mut self, other: &FaultEngine, pe: usize) {
-        for k in 0..N_STREAMS {
-            self.streams[pe * N_STREAMS + k] = other.streams[pe * N_STREAMS + k].clone();
-        }
-        self.delay_left[pe] = other.delay_left[pe];
-        self.storm_left[pe] = other.storm_left[pe];
-        self.faulted_lines[pe] = other.faulted_lines[pe].clone();
     }
 }
 

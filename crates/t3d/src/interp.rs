@@ -22,7 +22,7 @@ use crate::faults::FaultEngine;
 use crate::mem::Memory;
 use crate::metrics::{CycleCategory, EpochCycles, EventTrace, MemEvent, TraceEventKind};
 use crate::pe::Pe;
-use crate::result::{OracleReport, ShardStats, SimResult, StaleReadExample};
+use crate::result::{OracleReport, SimResult, StaleReadExample};
 
 /// Loaded-read values of one compiled statement live in a stack buffer of
 /// this many slots; statements with more reads (validator-legal but unseen
@@ -103,206 +103,6 @@ pub struct Simulator<'p> {
     /// Any budget or deadline configured (precomputed so the fault-free,
     /// budget-free hot path pays one predictable branch per iteration).
     budgeted: bool,
-    /// Shared-memory access log, present only inside epoch-shard workers:
-    /// the cache lines this PE block touched and wrote, consumed by the
-    /// cross-block conflict check and the deferred owner-cache patches at
-    /// the merge barrier. `None` (always, outside workers) keeps the serial
-    /// path at one predictable branch per shared access.
-    shard: Option<ShardLog>,
-    /// Cached static shard-independence verdicts (`analysis::shard`), one
-    /// per DOALL loop id: `true` = proven `Disjoint` at one-PE-per-block
-    /// granularity, hence for every contiguous coarser partition.
-    shard_verdicts: HashMap<LoopId, bool>,
-    /// Epoch-sharding accounting, returned on `SimResult::shard`.
-    shard_stats: ShardStats,
-}
-
-/// Per-block shared-memory access log for the epoch-sharded parallel path.
-///
-/// `written_addrs` keeps exact word addresses so the merge can copy each
-/// written word's final (value, version) pair and patch out-of-block owner
-/// caches; it is collected unconditionally. The line-granular [`LineLog`]
-/// exists only on the *dynamic* path — when the epoch was statically proven
-/// disjoint (`analysis::shard`), the merge-time conflict scan is skipped,
-/// so nothing needs logging.
-struct ShardLog {
-    lo_pe: usize,
-    hi_pe: usize,
-    line_words: u64,
-    lines: Option<LineLog>,
-    written_addrs: HashSet<usize>,
-}
-
-/// Line-granular access log consumed by the merge-time conflict scan.
-///
-/// Conflict granularity is the cache **line**: demand fills and prefetches
-/// move whole lines, so any cross-block write/read interaction surfaces as
-/// a line-set intersection. `written_lines ⊆ touched_lines` by
-/// construction.
-#[derive(Default)]
-struct LineLog {
-    touched_lines: HashSet<u64>,
-    written_lines: HashSet<u64>,
-}
-
-impl ShardLog {
-    #[inline]
-    fn contains(&self, pe: usize) -> bool {
-        (self.lo_pe..self.hi_pe).contains(&pe)
-    }
-}
-
-/// Everything a shard worker needs to assemble a block-local `Simulator`
-/// inside its own thread. `Simulator` itself is not `Send` (its compiled
-/// cache holds `Rc`s and the backend box is unconstrained), so the fork
-/// ships this plain-data seed across and the worker builds the simulator
-/// in place; [`BlockOut`] carries the results back the same way.
-struct BlockSeed<'p> {
-    program: &'p Program,
-    l: &'p Loop,
-    lo: i64,
-    hi: i64,
-    per_iter: u64,
-    layout: Layout,
-    cfg: MachineConfig,
-    scheme: Scheme,
-    opts: SimOptions,
-    mem: Memory,
-    /// Full-length PE vector: clones of the block's PEs, cheap
-    /// placeholders elsewhere (never executed; see [`Pe::placeholder`]).
-    pes: Vec<Pe>,
-    env: VarEnv,
-    phase: u32,
-    faults: Option<FaultEngine>,
-    loop_headers: HashMap<LoopId, LoopHeader>,
-    ref_index: HashMap<RefId, (ArrayId, Vec<Affine>)>,
-    flops: HashMap<RefId, u32>,
-    craft_cost: Vec<u64>,
-    cur_epoch_id: Option<u32>,
-    trace_on: bool,
-    lo_pe: usize,
-    hi_pe: usize,
-    /// Keep the line-granular access log for the merge-time conflict scan
-    /// (`false` when the epoch is statically proven disjoint).
-    log_lines: bool,
-}
-
-/// A shard worker's results: final PE/memory/fault state for its block plus
-/// the access log the merge needs.
-struct BlockOut {
-    lo_pe: usize,
-    hi_pe: usize,
-    pes: Vec<Pe>,
-    mem: Memory,
-    faults: Option<FaultEngine>,
-    oracle: OracleReport,
-    epoch: EpochCycles,
-    trace: EventTrace,
-    steps: u64,
-    /// A sliced cycle/step budget tripped inside this block (the caller
-    /// discards all block state and reruns serially to reproduce the exact
-    /// serial abort).
-    abort: Option<SimAbort>,
-    lines: Option<LineLog>,
-    written_addrs: HashSet<usize>,
-}
-
-/// Simulate one contiguous PE block of a static DOALL in isolation, on a
-/// clone of the pre-epoch machine state. Intra-block PEs run in ascending
-/// order on the worker's own memory image — literally the serial schedule
-/// restricted to the block — so a merge that detects no cross-block line
-/// intersection reproduces the serial run byte for byte.
-fn run_block<'p>(seed: BlockSeed<'p>) -> BlockOut {
-    let n_pes = seed.cfg.n_pes;
-    let line_words = seed.cfg.line_words as u64;
-    let backend = Some(backend_for(&seed.scheme, &seed.cfg));
-    // `EventTrace::new` allocates lazily, so an effectively unbounded
-    // capacity costs nothing when few events arrive; the worker must never
-    // wrap its ring, because the master replays events in block order and
-    // lets *its* ring apply the capacity policy.
-    let trace_cap = if seed.trace_on { usize::MAX } else { 0 };
-    let mut sim = Simulator {
-        program: seed.program,
-        layout: seed.layout,
-        cfg: seed.cfg,
-        scheme: seed.scheme,
-        opts: seed.opts,
-        mem: seed.mem,
-        pes: seed.pes,
-        env: seed.env,
-        phase: seed.phase,
-        oracle: OracleReport::default(),
-        extrapolated: false,
-        loop_headers: seed.loop_headers,
-        ref_index: seed.ref_index,
-        flops: seed.flops,
-        craft_cost: seed.craft_cost,
-        coords: Vec::with_capacity(4),
-        epochs: vec![EpochCycles::new("(shard)", n_pes)],
-        epoch_slots: HashMap::new(),
-        cur_epoch: Some(0),
-        extrap_slot: None,
-        trace: EventTrace::new(trace_cap),
-        faults: seed.faults,
-        backend,
-        cur_epoch_id: seed.cur_epoch_id,
-        compiled: HashMap::new(),
-        frames: Vec::new(),
-        treewalk: false,
-        steps: 0,
-        abort: None,
-        // Budget-sliced workers check their own PEs' cycle counters (which
-        // evolve exactly as in the serial schedule) and the step budget
-        // remaining at the fork; the master pre-sliced `seed.opts`.
-        budgeted: seed.opts.cycle_budget.is_some()
-            || seed.opts.step_budget.is_some()
-            || seed.opts.wall_deadline.is_some(),
-        shard: Some(ShardLog {
-            lo_pe: seed.lo_pe,
-            hi_pe: seed.hi_pe,
-            line_words,
-            lines: seed.log_lines.then(LineLog::default),
-            written_addrs: HashSet::new(),
-        }),
-        shard_verdicts: HashMap::new(),
-        shard_stats: ShardStats::default(),
-    };
-    let l = seed.l;
-    let cb = sim.compiled_body(l);
-    for pe in seed.lo_pe..seed.hi_pe {
-        if sim.abort.is_some() {
-            break;
-        }
-        let range = match l.align {
-            Some(aid) => ccdp_dist::aligned_range_for_pe(
-                &sim.layout,
-                sim.program.array(aid),
-                seed.lo,
-                seed.hi,
-                l.step,
-                pe,
-            ),
-            None => doall_range_for_pe(seed.lo, seed.hi, l.step, pe, n_pes),
-        };
-        if let Some(r) = range {
-            sim.run_doall_range(pe, l, r.lo, r.hi, seed.per_iter, Some(&cb));
-        }
-    }
-    let shard = sim.shard.take().expect("worker shard log present");
-    BlockOut {
-        lo_pe: seed.lo_pe,
-        hi_pe: seed.hi_pe,
-        pes: sim.pes,
-        mem: sim.mem,
-        faults: sim.faults,
-        oracle: sim.oracle,
-        epoch: sim.epochs.pop().expect("worker epoch slot present"),
-        trace: sim.trace,
-        steps: sim.steps,
-        abort: sim.abort,
-        lines: shard.lines,
-        written_addrs: shard.written_addrs,
-    }
 }
 
 impl<'p> Simulator<'p> {
@@ -333,7 +133,7 @@ impl<'p> Simulator<'p> {
         let mut loop_headers = HashMap::new();
         let mut ref_index = HashMap::new();
         let mut flops = HashMap::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for e in program.epochs() {
             if !seen.insert(e.id) {
                 continue;
@@ -381,9 +181,6 @@ impl<'p> Simulator<'p> {
             steps: 0,
             abort: None,
             budgeted,
-            shard: None,
-            shard_verdicts: HashMap::new(),
-            shard_stats: ShardStats::default(),
         }
     }
 
@@ -418,7 +215,6 @@ impl<'p> Simulator<'p> {
             extrapolated: self.extrapolated,
             epochs: self.epochs,
             trace: self.trace,
-            shard: self.shard_stats,
         })
     }
 
@@ -516,34 +312,6 @@ impl<'p> Simulator<'p> {
                 kind,
                 addr: addr as u64,
             });
-        }
-    }
-
-    // -- epoch-shard access logging ----------------------------------------
-
-    /// Log a shared-memory read/fill of `addr`'s line (shard workers only;
-    /// a no-op — one predictable branch — on the serial path).
-    #[inline]
-    fn shard_touch(&mut self, addr: usize) {
-        if let Some(s) = self.shard.as_mut() {
-            if let Some(ll) = s.lines.as_mut() {
-                ll.touched_lines.insert(addr as u64 / s.line_words);
-            }
-        }
-    }
-
-    /// Log a shared-memory write of `addr` (shard workers only): the line
-    /// counts as touched *and* written, and the exact word address is kept
-    /// for the merge's final-state copy and owner-cache patches.
-    #[inline]
-    fn shard_note_write(&mut self, addr: usize) {
-        if let Some(s) = self.shard.as_mut() {
-            if let Some(ll) = s.lines.as_mut() {
-                let line = addr as u64 / s.line_words;
-                ll.touched_lines.insert(line);
-                ll.written_lines.insert(line);
-            }
-            s.written_addrs.insert(addr);
         }
     }
 
@@ -732,11 +500,7 @@ impl<'p> Simulator<'p> {
         self.charge_all(CycleCategory::EpochSetup, setup);
         let cb = (!self.treewalk).then(|| self.compiled_body(l));
         match l.kind {
-            LoopKind::DoAllStatic => {
-                if !self.exec_doall_static_sharded(l, lo, hi, per_iter) {
-                    self.exec_doall_static_serial(l, lo, hi, per_iter, cb.as_deref());
-                }
-            }
+            LoopKind::DoAllStatic => self.exec_doall_static(l, lo, hi, per_iter, cb.as_deref()),
             LoopKind::DoAllDynamic { chunk } => {
                 for c in chunks(lo, hi, l.step, chunk) {
                     if self.abort.is_some() {
@@ -756,10 +520,9 @@ impl<'p> Simulator<'p> {
         self.barrier();
     }
 
-    /// The serial schedule of a static DOALL: PEs execute their ranges one
-    /// after another, in ascending order, on the shared machine state. Also
-    /// the fallback when the sharded path declines or detects a conflict.
-    fn exec_doall_static_serial(
+    /// The schedule of a static DOALL: PEs execute their ranges one after
+    /// another, in ascending order, on the shared machine state.
+    fn exec_doall_static(
         &mut self,
         l: &'p Loop,
         lo: i64,
@@ -786,228 +549,6 @@ impl<'p> Simulator<'p> {
                 self.run_doall_range(pe, l, r.lo, r.hi, per_iter, cb);
             }
         }
-    }
-
-    /// Shard a static DOALL's PE blocks across `SimOptions::sim_threads`
-    /// workers. Returns `false` — leaving the master state untouched, so
-    /// the caller reruns the epoch serially — when this run is ineligible
-    /// or when the optimistic parallel run detected a cross-block memory
-    /// dependence.
-    ///
-    /// Soundness (full argument in DESIGN §15): each worker simulates one
-    /// contiguous PE block, in PE order, on a clone of the pre-epoch state
-    /// — exactly the serial schedule restricted to its block. The merge is
-    /// byte-identical to the serial run unless some earlier block *wrote* a
-    /// cache line a later block *touched* (the later block should have seen
-    /// that write; it saw the snapshot instead). That is precisely the
-    /// conflict predicate checked below; on a hit, all worker state is
-    /// discarded and the serial path re-executes from the untouched master
-    /// state, so the fallback is exact, deterministic, and repeatable.
-    fn exec_doall_static_sharded(&mut self, l: &'p Loop, lo: i64, hi: i64, per_iter: u64) -> bool {
-        if self.opts.sim_threads <= 1 {
-            return false;
-        }
-        // Structured decline reasons, surfaced through `ShardStats`: the
-        // tree walker's purpose is to be the plain reference
-        // implementation; hardware schemes (MESI/Dragon) contend on a
-        // shared bus, so PEs are not independent between barriers; a
-        // wall-clock deadline has no deterministic per-block slicing.
-        if self.cfg.n_pes < 2 {
-            self.shard_stats.declined_few_pes += 1;
-            return false;
-        }
-        if self.treewalk {
-            self.shard_stats.declined_treewalk += 1;
-            return false;
-        }
-        if matches!(self.scheme, Scheme::Mesi | Scheme::Dragon) {
-            self.shard_stats.declined_hardware += 1;
-            return false;
-        }
-        if self.opts.wall_deadline.is_some() {
-            self.shard_stats.declined_wall_deadline += 1;
-            return false;
-        }
-        // Static shard-independence verdict (`analysis::shard`, cached per
-        // loop). `Disjoint` ⇒ the workers skip the line-granular access
-        // log and the merge below skips the conflict scan (pure
-        // fork/join); it also makes cycle/step-budgeted runs eligible, via
-        // per-block budget slicing — sound only when blocks are proven
-        // independent, because a conflict rerun under a sliced budget
-        // could otherwise abort at a non-serial point.
-        let disjoint = self.opts.shard_static && self.loop_disjoint(l);
-        if self.budgeted && !disjoint {
-            self.shard_stats.declined_budget_unproven += 1;
-            return false;
-        }
-        let base_steps = self.steps;
-        let mut wopts = self.opts;
-        // Budget slicing: workers keep the per-PE cycle budget unchanged
-        // (each PE's cycle counter evolves exactly as in the serial
-        // schedule) and check their own step count against the budget
-        // remaining at the fork.
-        if let Some(b) = wopts.step_budget {
-            wopts.step_budget = Some(b.saturating_sub(base_steps));
-        }
-        let n = self.cfg.n_pes;
-        let t = self.opts.sim_threads.min(n);
-        let mut seeds = Vec::with_capacity(t);
-        for b in 0..t {
-            let lo_pe = b * n / t;
-            let hi_pe = (b + 1) * n / t;
-            let pes = (0..n)
-                .map(|i| {
-                    if (lo_pe..hi_pe).contains(&i) {
-                        self.pes[i].clone()
-                    } else {
-                        Pe::placeholder(i)
-                    }
-                })
-                .collect();
-            seeds.push(BlockSeed {
-                program: self.program,
-                l,
-                lo,
-                hi,
-                per_iter,
-                layout: self.layout.clone(),
-                cfg: self.cfg.clone(),
-                scheme: self.scheme.clone(),
-                opts: wopts,
-                mem: self.mem.clone(),
-                pes,
-                env: self.env.clone(),
-                phase: self.phase,
-                faults: self.faults.clone(),
-                loop_headers: self.loop_headers.clone(),
-                ref_index: self.ref_index.clone(),
-                flops: self.flops.clone(),
-                craft_cost: self.craft_cost.clone(),
-                cur_epoch_id: self.cur_epoch_id,
-                trace_on: self.trace.enabled(),
-                lo_pe,
-                hi_pe,
-                log_lines: !disjoint,
-            });
-        }
-        let mut outs: Vec<BlockOut> = Vec::with_capacity(t);
-        std::thread::scope(|s| {
-            let mut seeds = seeds.into_iter();
-            let first = seeds.next().expect("at least one block");
-            let handles: Vec<_> = seeds.map(|seed| s.spawn(move || run_block(seed))).collect();
-            // The master thread simulates block 0 itself instead of idling.
-            outs.push(run_block(first));
-            for h in handles {
-                outs.push(h.join().expect("shard worker panicked"));
-            }
-        });
-        // Budget aborts: any worker abort (cycle budget tripped on one of
-        // its PEs), or the combined step count exceeding the global step
-        // budget (the serial run would have aborted mid-epoch), discards
-        // all block state; the serial rerun from the untouched master
-        // state then reproduces the exact serial abort. A worker's own
-        // step abort always implies the sum check fires too (it stops at
-        // remaining+1 steps), so the two conditions together are exact.
-        if self.budgeted {
-            let total: u64 = outs.iter().map(|o| o.steps).sum();
-            let over_steps = self
-                .opts
-                .step_budget
-                .is_some_and(|b| base_steps.saturating_add(total) > b);
-            if over_steps || outs.iter().any(|o| o.abort.is_some()) {
-                self.shard_stats.budget_reruns += 1;
-                return false;
-            }
-        }
-        if disjoint {
-            // Statically proven: no log was kept, no scan needed.
-            self.shard_stats.static_proven += 1;
-        } else {
-            self.shard_stats.dynamic_logged += 1;
-            // Conflict predicate: an earlier block wrote a line a later
-            // block touched. (The other direction is fine — serially the
-            // later block runs after the earlier one, and it saw the same
-            // pre-write data.)
-            let mut written: HashSet<u64> = HashSet::new();
-            for out in &outs {
-                let ll = out.lines.as_ref().expect("dynamic path keeps the line log");
-                if ll.touched_lines.iter().any(|la| written.contains(la)) {
-                    self.shard_stats.conflicts += 1;
-                    if !self.shard_stats.conflict_loops.contains(&l.id) {
-                        self.shard_stats.conflict_loops.push(l.id);
-                    }
-                    return false;
-                }
-                written.extend(ll.written_lines.iter().copied());
-            }
-        }
-        // Merge, in block order. Per-word final states are disjoint across
-        // blocks (proven statically, or by the conflict scan just run), so
-        // everything below is order-independent per address and
-        // deterministic.
-        for out in outs.iter_mut() {
-            for pe in out.lo_pe..out.hi_pe {
-                std::mem::swap(&mut self.pes[pe], &mut out.pes[pe]);
-                self.mem.swap_private_space(&mut out.mem, pe);
-                if let (Some(mf), Some(wf)) = (self.faults.as_mut(), out.faults.as_ref()) {
-                    mf.absorb_pe(wf, pe);
-                }
-                if let Some(slot) = self.cur_epoch {
-                    self.epochs[slot].per_pe[pe].add(&out.epoch.per_pe[pe]);
-                }
-            }
-            for &addr in &out.written_addrs {
-                let (v, ver) = out.mem.read_shared(addr);
-                self.mem.set_shared(addr, v, ver);
-            }
-            self.oracle.stale_reads += out.oracle.stale_reads;
-            self.oracle.examples.append(&mut out.oracle.examples);
-            for ev in out.trace.iter() {
-                self.trace.record(*ev);
-            }
-            self.steps += out.steps;
-        }
-        // Each worker capped its own example list, so the concatenation's
-        // prefix is exactly what the serial run would have recorded.
-        self.oracle.examples.truncate(self.opts.oracle_examples);
-        // Deferred owner-cache patches: a write whose owning PE lives in
-        // another block updates that owner's (now merged-back) cache with
-        // the word's final state. `update_word` is a residency-checked
-        // no-op, and any interleaving that could make final-state patching
-        // diverge from the serial patch sequence implies the owner's block
-        // touched the written line — rejected by the dynamic scan above,
-        // or impossible by the static disjointness proof.
-        for out in &outs {
-            for &addr in &out.written_addrs {
-                let owner = self.mem.owner(addr);
-                if !(out.lo_pe..out.hi_pe).contains(&owner) {
-                    let (v, ver) = out.mem.read_shared(addr);
-                    self.pes[owner].cache.update_word(addr, v, ver);
-                }
-            }
-        }
-        true
-    }
-
-    /// Cached static shard-independence verdict for a DOALL: `true` when
-    /// `analysis::shard` proves its PE blocks pairwise line-disjoint. The
-    /// verdict is computed at one-PE-per-block granularity, which implies
-    /// disjointness for every contiguous coarser partition — so one cached
-    /// answer per loop id is valid at any worker count, and across `Repeat`
-    /// re-executions of the same source loop.
-    fn loop_disjoint(&mut self, l: &'p Loop) -> bool {
-        if let Some(&d) = self.shard_verdicts.get(&l.id) {
-            return d;
-        }
-        let epoch = self
-            .cur_epoch_id
-            .and_then(|id| self.program.epochs().into_iter().find(|e| e.id.0 == id));
-        let d = epoch.is_some_and(|e| {
-            ccdp_analysis::shard_verdict(self.program, &self.layout, e, l.id, self.cfg.line_words)
-                .is_disjoint()
-        });
-        self.shard_verdicts.insert(l.id, d);
-        d
     }
 
     /// One PE's contiguous slice of a DOALL's iterations (a static range or
@@ -1560,7 +1101,6 @@ impl<'p> Simulator<'p> {
     /// BASE-scheme shared read. `craft` is the array's CRAFT local-access
     /// overhead. Shared by the tree walker and the compiled trace.
     pub(crate) fn base_read(&mut self, pe: usize, rid: RefId, addr: usize, craft: u64) -> f64 {
-        self.shard_touch(addr);
         let local = self.mem.owner(addr) == pe;
         if local {
             // The T3D caches all local memory; CRAFT pays only the
@@ -1583,7 +1123,6 @@ impl<'p> Simulator<'p> {
     /// CCDP `Bypass` read: always reads main memory, never the cache.
     /// Shared by the tree walker and the compiled trace.
     pub(crate) fn bypass_read(&mut self, pe: usize, addr: usize) -> f64 {
-        self.shard_touch(addr);
         let local = self.mem.owner(addr) == pe;
         let lat = if local { self.cfg.local_uncached } else { self.cfg.remote_uncached };
         self.charge(pe, CycleCategory::BypassRead, lat);
@@ -1595,10 +1134,6 @@ impl<'p> Simulator<'p> {
     }
 
     pub(crate) fn cached_read(&mut self, pe: usize, rid: RefId, addr: usize, h: Handling) -> f64 {
-        // Touched even on a cache hit: the hit path's oracle check reads
-        // the word's *current* memory version, so a hit on a line another
-        // block is writing is a real cross-block interaction.
-        self.shard_touch(addr);
         let phase = self.phase;
         if h == Handling::Fresh {
             self.pes[pe].stats.fresh_reads += 1;
@@ -1832,7 +1367,6 @@ impl<'p> Simulator<'p> {
     /// overhead (consulted only under the BASE scheme). Shared by the tree
     /// walker and the compiled trace.
     pub(crate) fn write_shared_addr(&mut self, pe: usize, addr: usize, craft_local: u64, v: f64) {
-        self.shard_note_write(addr);
         let owner = self.mem.owner(addr);
         let local = owner == pe;
         let ver = self.mem.write_shared(addr, v);
@@ -1870,12 +1404,7 @@ impl<'p> Simulator<'p> {
         if !matches!(self.scheme, Scheme::Base) || local {
             self.pes[pe].cache.update_word(addr, v, ver);
         }
-        if self.shard.as_ref().is_some_and(|s| !s.contains(owner)) {
-            // The owner runs in another shard block; its cache is patched
-            // with the word's final state at the merge barrier.
-        } else {
-            self.pes[owner].cache.update_word(addr, v, ver);
-        }
+        self.pes[owner].cache.update_word(addr, v, ver);
     }
 
     // -- prefetch operations ----------------------------------------------
@@ -1944,7 +1473,6 @@ impl<'p> Simulator<'p> {
             self.trace_event(pe, TraceEventKind::PrefetchDropped, addr);
             return;
         }
-        self.shard_touch(addr);
         let line_base = self.pes[pe].cache.line_base(addr);
         let shared_words = self.mem.shared_words();
         {
@@ -2112,7 +1640,6 @@ impl<'p> Simulator<'p> {
         );
         for &la in &line_addrs {
             let line_base = la * lw;
-            self.shard_touch(line_base);
             let mem = &self.mem;
             let words_iter = (0..lw).map(|k| {
                 let a = line_base + k;

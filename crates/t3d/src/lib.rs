@@ -81,4 +81,4 @@ pub use metrics::{
     TraceEventKind,
 };
 pub use pe::{Pe, PeStats};
-pub use result::{OracleReport, ShardStats, SimResult, StaleReadExample};
+pub use result::{OracleReport, SimResult, StaleReadExample};

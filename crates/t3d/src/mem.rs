@@ -110,24 +110,6 @@ impl Memory {
         self.shared_versions[addr]
     }
 
-    /// Force one shared word to an explicit (value, version) pair. Used by
-    /// the epoch-shard merge to copy a worker's final state for the words
-    /// that worker wrote; never part of the simulated machine's own
-    /// write path (which is [`Memory::write_shared`]).
-    #[inline]
-    pub(crate) fn set_shared(&mut self, addr: usize, v: f64, ver: u32) {
-        self.shared_values[addr] = v;
-        self.shared_versions[addr] = ver;
-    }
-
-    /// Swap one PE's entire private space with `other`'s (O(1) pointer
-    /// swap). The epoch-shard merge uses this to adopt a worker's private
-    /// state for the PEs that worker simulated.
-    #[inline]
-    pub(crate) fn swap_private_space(&mut self, other: &mut Memory, pe: usize) {
-        std::mem::swap(&mut self.private_values[pe], &mut other.private_values[pe]);
-    }
-
     #[inline]
     pub fn read_private(&self, pe: usize, addr: usize) -> f64 {
         self.private_values[pe][addr]
@@ -170,20 +152,6 @@ mod unit {
         let p = pb.finish().unwrap();
         let l = Layout::new(&p, 2);
         (p, l)
-    }
-
-    /// The static shard analysis replicates this memory's packing rule to
-    /// map sections to shared-space lines; pin the two against each other.
-    #[test]
-    fn shard_analysis_base_matches_memory_base() {
-        let (p, l) = mk();
-        let m = Memory::new(&p, &l);
-        for a in &p.arrays {
-            match ccdp_analysis::shared_base_words(&p, a.id) {
-                Some(b) => assert_eq!(b, m.base(a.id), "array {}", a.name),
-                None => assert!(!m.is_shared(a.id), "array {}", a.name),
-            }
-        }
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl PeStats {
 }
 
 /// One processing element.
-///
-/// `Clone` exists for the epoch-sharded parallel path: a worker takes the
-/// real `Pe`s of its block (swapped out against placeholders) and the
-/// master swaps them back at the merge barrier.
-#[derive(Clone)]
 pub struct Pe {
     pub id: usize,
     /// Cycle counter.
@@ -134,24 +129,6 @@ impl Pe {
             staged_phase: 0,
             stats: PeStats::default(),
             scratch: Vec::with_capacity(8),
-        }
-    }
-
-    /// A stand-in `Pe` parked in the master simulator while the real one is
-    /// lent to a shard worker. Never executed: the sharded path only runs
-    /// block-local PEs, and cross-block owner-cache patches are deferred to
-    /// the merge. The 1-line cache keeps it allocation-cheap.
-    pub fn placeholder(id: usize) -> Pe {
-        Pe {
-            id,
-            now: 0,
-            cache: Cache::new(1, 1),
-            inflight: Vec::new(),
-            annex_pe: None,
-            staged: std::collections::HashSet::new(),
-            staged_phase: 0,
-            stats: PeStats::default(),
-            scratch: Vec::new(),
         }
     }
 

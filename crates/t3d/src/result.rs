@@ -1,6 +1,6 @@
 //! Simulation results and the coherence oracle report.
 
-use ccdp_ir::{ArrayId, LoopId, Program, RefId};
+use ccdp_ir::{ArrayId, Program, RefId};
 
 use crate::faults::FaultStats;
 use crate::mem::Memory;
@@ -34,54 +34,6 @@ impl OracleReport {
     }
 }
 
-/// Epoch-sharding accounting: how each static-DOALL instance was executed
-/// and why ineligible ones declined. Diagnostics only — deliberately **not**
-/// part of the serialized result (`jsonio`), so the byte-identity contract
-/// between serial and sharded runs is unaffected by how runs were sharded.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// DOALL instances sharded on a static `Disjoint` proof: no per-block
-    /// access log was kept and the merge-time conflict scan was skipped.
-    pub static_proven: u64,
-    /// DOALL instances sharded optimistically with the dynamic conflict log
-    /// (verdict `MayConflict`/`Unknown`, or `shard_static` off).
-    pub dynamic_logged: u64,
-    /// Dynamically logged instances the merge-time scan rejected (all block
-    /// state discarded, epoch rerun serially).
-    pub conflicts: u64,
-    /// Statically proven budgeted instances whose sliced budget tripped in
-    /// a worker (rerun serially to reproduce the exact serial abort).
-    pub budget_reruns: u64,
-    /// Declines, by structured reason (instances that went straight to the
-    /// serial schedule; `sim_threads <= 1` runs are not counted).
-    pub declined_treewalk: u64,
-    pub declined_few_pes: u64,
-    pub declined_hardware: u64,
-    pub declined_wall_deadline: u64,
-    /// Budgeted instance without a static `Disjoint` proof: budget slicing
-    /// is only sound when blocks are independent.
-    pub declined_budget_unproven: u64,
-    /// Distinct DOALL loops that ever hit a *dynamic* merge-time conflict
-    /// (insertion order). The mutation battery uses this as the oracle the
-    /// static verdict must never contradict: a loop in this list must not
-    /// be `Disjoint`.
-    pub conflict_loops: Vec<LoopId>,
-}
-
-impl ShardStats {
-    /// Total sharded instances that merged successfully. Budget reruns are
-    /// counted before an instance is classified as proven or logged, so only
-    /// dynamic conflicts subtract here.
-    pub fn sharded(&self) -> u64 {
-        self.static_proven + self.dynamic_logged - self.conflicts
-    }
-
-    /// Merge-time conflict scans avoided by static proofs.
-    pub fn dynamic_checks_skipped(&self) -> u64 {
-        self.static_proven
-    }
-}
-
 /// Everything a simulation run produces.
 #[derive(Clone)]
 pub struct SimResult {
@@ -109,8 +61,6 @@ pub struct SimResult {
     /// Bounded memory-event trace (empty unless
     /// `SimOptions::trace_capacity > 0`).
     pub trace: EventTrace,
-    /// Epoch-sharding accounting (not serialized; see [`ShardStats`]).
-    pub shard: ShardStats,
 }
 
 impl SimResult {

@@ -4,9 +4,9 @@
 //! cycles, per-PE totals, epoch attribution, prefetch quality, oracle
 //! verdicts, fault stats, event traces, and the final memory image.
 //!
-//! Coverage: all four paper kernels at every PE count of the paper's tables
-//! (seed 0), plus property-style sweeps over synthesized programs × schemes
-//! × fault plans.
+//! Coverage: every scheme on all four paper kernels at every PE count of
+//! the paper's tables (seed 0), plus property-style sweeps over synthesized
+//! programs × schemes × fault plans.
 
 use ccdp_bench::synth::{random_program, SynthConfig};
 use ccdp_bench::{cell_config, paper_kernels, Scale, PAPER_PES};
@@ -42,16 +42,17 @@ fn assert_identical(program: &Program, fast: &SimResult, slow: &SimResult, what:
     }
 }
 
-/// Run every scheme through both paths and compare.
-fn check_base_ccdp(program: &Program, cfg: &PipelineConfig, what: &str) {
+/// Run each of `schemes` through both paths and compare. CCDP and INV
+/// transform the program, so memory is compared through the program the
+/// run actually executed.
+fn check_schemes(program: &Program, cfg: &PipelineConfig, schemes: &[Scheme], what: &str) {
     let tw = with_treewalk(cfg);
-    let f = cfg.run(program, Scheme::Base).expect("base (compiled)").result;
-    let s = tw.run(program, Scheme::Base).expect("base (treewalk)").result;
-    assert_identical(program, &f, &s, &format!("{what} BASE"));
-    let f = cfg.run(program, Scheme::Ccdp).expect("ccdp (compiled)");
-    let s = tw.run(program, Scheme::Ccdp).expect("ccdp (treewalk)");
-    let art = f.artifacts.as_ref().expect("ccdp run carries its artifacts");
-    assert_identical(&art.transformed, &f.result, &s.result, &format!("{what} CCDP"));
+    for &scheme in schemes {
+        let f = cfg.run(program, scheme).expect("compiled run");
+        let s = tw.run(program, scheme).expect("treewalk run");
+        let prog = f.artifacts.as_ref().map_or(program, |a| &a.transformed);
+        assert_identical(prog, &f.result, &s.result, &format!("{what} {}", scheme.name()));
+    }
 }
 
 fn check_seq(program: &Program, cfg: &PipelineConfig, what: &str) {
@@ -61,8 +62,8 @@ fn check_seq(program: &Program, cfg: &PipelineConfig, what: &str) {
     assert_identical(program, &f, &s, &format!("{what} SEQ"));
 }
 
-/// The acceptance sweep: all four paper kernels × every PE count of the
-/// tables, at seed 0 (no faults). The sequential scheme is checked once per
+/// The acceptance sweep: every scheme on all four paper kernels × every PE
+/// count of the tables, at seed 0 (no faults). The sequential scheme is checked once per
 /// kernel — it is independent of the PE count.
 #[test]
 fn paper_kernels_identical_at_every_pe_count() {
@@ -70,7 +71,7 @@ fn paper_kernels_identical_at_every_pe_count() {
         check_seq(&k.program, &cell_config(k, PAPER_PES[0]), k.name);
         for &n in &PAPER_PES {
             let cfg = cell_config(k, n);
-            check_base_ccdp(&k.program, &cfg, &format!("{} pes={n}", k.name));
+            check_schemes(&k.program, &cfg, &Scheme::ALL, &format!("{} pes={n}", k.name));
         }
     }
 }
@@ -85,7 +86,8 @@ fn synthesized_programs_identical() {
         for n in [1, 3, 8] {
             let pc = PipelineConfig::t3d(n);
             check_seq(&p, &pc, &format!("synth seed={seed}"));
-            check_base_ccdp(&p, &pc, &format!("synth seed={seed} pes={n}"));
+            let what = format!("synth seed={seed} pes={n}");
+            check_schemes(&p, &pc, &[Scheme::Base, Scheme::Ccdp], &what);
         }
     }
 }
@@ -94,6 +96,7 @@ fn synthesized_programs_identical() {
 /// the two paths must agree on every fault decision and its accounting.
 #[test]
 fn faulted_runs_identical() {
+    const FAULTED: [Scheme; 3] = [Scheme::Base, Scheme::Ccdp, Scheme::InvalidateOnly];
     let plans = [
         FaultPlan { seed: 7, drop_rate: 0.3, delay_rate: 0.2, delay_mult: 4, ..FaultPlan::none() },
         FaultPlan { seed: 11, queue_cap: Some(4), storm_rate: 0.2, storm_len: 3, evict_rate: 0.25, ..FaultPlan::none() },
@@ -103,12 +106,13 @@ fn faulted_runs_identical() {
         for (k, n) in [(&kernels[0], 8usize), (&kernels[2], 4)] {
             let mut cfg = cell_config(k, n);
             cfg.sim.faults = plan;
-            check_base_ccdp(&k.program, &cfg, &format!("{} pes={n} faults seed={}", k.name, plan.seed));
+            let what = format!("{} pes={n} faults seed={}", k.name, plan.seed);
+            check_schemes(&k.program, &cfg, &FAULTED, &what);
         }
         let p = random_program(3, &SynthConfig::default());
         let mut pc = PipelineConfig::t3d(6);
         pc.sim.faults = plan;
-        check_base_ccdp(&p, &pc, &format!("synth faults seed={}", plan.seed));
+        check_schemes(&p, &pc, &FAULTED, &format!("synth faults seed={}", plan.seed));
     }
 }
 
@@ -120,7 +124,7 @@ fn traced_runs_identical() {
     let k = &kernels[1]; // VPENTA: serial + DOALL mix.
     let mut cfg = cell_config(k, 8);
     cfg.sim.trace_capacity = 4096;
-    check_base_ccdp(&k.program, &cfg, "VPENTA pes=8 traced");
+    check_schemes(&k.program, &cfg, &Scheme::ALL, "VPENTA pes=8 traced");
 }
 
 /// The `CCDP_FORCE_TREEWALK` env var — applied through the single
