@@ -1,31 +1,25 @@
-//! Byte-identity of the epoch-sharded parallel path (`SimOptions::
-//! sim_threads` / `CCDP_SIM_THREADS`) against the serial compiled trace and
-//! the reference tree walker: cycles, per-PE totals, epoch attribution,
+//! The simulator is serial, and the host-thread knob must not change what
+//! it computes. `SimOptions::sim_threads` survives only as provenance for
+//! the benchmark: its accepted values (0, the default, and 1) must produce
+//! **byte-identical** results — cycles, per-PE totals, epoch attribution,
 //! prefetch quality, oracle verdicts, fault stats, event traces, and the
-//! final memory image must all be identical — the parallel path is an
-//! implementation detail of the simulator, never an approximation.
+//! final memory image — and any value above 1 must be refused with
+//! `ConfigError::SimThreads` before a single cycle is simulated, never run
+//! silently on the serial path.
 //!
-//! Coverage: all four paper kernels × the paper's PE counts × every
-//! `Scheme::ALL` member (hardware schemes take the serial path by design
-//! and must be unaffected by the knob) × seeded fault plans × traced runs,
-//! plus a determinism check that repeated parallel runs and different
-//! worker counts all produce the same bytes.
+//! Coverage: every `Scheme::ALL` member on all four paper kernels at the
+//! paper's PE counts, seeded fault plans, and traced runs. Compiled vs
+//! tree-walk identity for the same cells lives in `compiled_equivalence`.
 
 use ccdp_bench::{cell_config, paper_kernels, Scale, PAPER_PES};
-use ccdp_core::{PipelineConfig, Scheme};
+use ccdp_core::{PipelineConfig, PipelineError, Scheme};
 use ccdp_ir::Program;
 use ccdp_json::ToJson;
-use t3d_sim::{FaultPlan, SimResult};
+use t3d_sim::{ConfigError, FaultPlan, SimResult};
 
 fn with_threads(cfg: &PipelineConfig, t: usize) -> PipelineConfig {
     let mut c = cfg.clone();
     c.sim.sim_threads = t;
-    c
-}
-
-fn with_treewalk(cfg: &PipelineConfig) -> PipelineConfig {
-    let mut c = cfg.clone();
-    c.sim.force_treewalk = true;
     c
 }
 
@@ -36,7 +30,7 @@ fn assert_identical(program: &Program, a: &SimResult, b: &SimResult, what: &str)
     assert_eq!(
         a.to_json().to_pretty(),
         b.to_json().to_pretty(),
-        "parallel vs serial result mismatch: {what}"
+        "sim_threads 0 vs 1 result mismatch: {what}"
     );
     for arr in &program.arrays {
         if !a.memory.is_shared(arr.id) {
@@ -50,48 +44,46 @@ fn assert_identical(program: &Program, a: &SimResult, b: &SimResult, what: &str)
     }
 }
 
-/// Run one scheme at `threads` workers and compare against the serial
-/// compiled run and the tree walker.
-fn check_scheme(program: &Program, cfg: &PipelineConfig, scheme: Scheme, threads: usize, what: &str) {
-    let par = with_threads(cfg, threads).run(program, scheme).expect("parallel run");
-    let ser = with_threads(cfg, 0).run(program, scheme).expect("serial run");
-    let tw = with_treewalk(cfg).run(program, scheme).expect("treewalk run");
+/// Run one scheme at both accepted knob values and compare, then check
+/// that the removed multi-threaded values are refused.
+fn check_scheme(program: &Program, cfg: &PipelineConfig, scheme: Scheme, what: &str) {
+    let zero = with_threads(cfg, 0).run(program, scheme).expect("sim_threads = 0 run");
+    let one = with_threads(cfg, 1).run(program, scheme).expect("sim_threads = 1 run");
     // CCDP/INV transform the program; compare memory through the program
     // the run actually executed.
-    let prog = par.artifacts.as_ref().map_or(program, |a| &a.transformed);
-    assert_identical(prog, &par.result, &ser.result, &format!("{what} {scheme:?} par-vs-serial"));
-    assert_identical(prog, &par.result, &tw.result, &format!("{what} {scheme:?} par-vs-treewalk"));
+    let prog = zero.artifacts.as_ref().map_or(program, |a| &a.transformed);
+    assert_identical(prog, &zero.result, &one.result, &format!("{what} {}", scheme.name()));
+    for t in [2, 4] {
+        match with_threads(cfg, t).run(program, scheme) {
+            Err(PipelineError::InvalidConfig(ConfigError::SimThreads { value })) => {
+                assert_eq!(value, t, "{what} {}: wrong value reported", scheme.name())
+            }
+            Err(e) => panic!(
+                "{what} {}: sim_threads = {t} refused for the wrong reason: {e}",
+                scheme.name()
+            ),
+            Ok(_) => panic!("{what} {}: sim_threads = {t} accepted", scheme.name()),
+        }
+    }
 }
 
 /// The acceptance sweep: every scheme on all four kernels across the
-/// paper's PE counts, 4 workers.
+/// paper's PE counts.
 #[test]
 fn all_schemes_identical_at_every_pe_count() {
     for k in &paper_kernels(Scale::Quick) {
         for &n in &PAPER_PES {
             let cfg = cell_config(k, n);
             for scheme in Scheme::ALL {
-                check_scheme(&k.program, &cfg, scheme, 4, &format!("{} pes={n}", k.name));
+                check_scheme(&k.program, &cfg, scheme, &format!("{} pes={n}", k.name));
             }
         }
     }
 }
 
-/// Worker-count sweep: any thread count — including more workers than PEs
-/// and odd counts that split blocks unevenly — produces the same bytes.
-#[test]
-fn any_worker_count_identical() {
-    let kernels = paper_kernels(Scale::Quick);
-    let k = &kernels[0];
-    let cfg = cell_config(k, 8);
-    for t in [2, 3, 5, 8, 16] {
-        check_scheme(&k.program, &cfg, Scheme::Ccdp, t, &format!("{} pes=8 t={t}", k.name));
-    }
-}
-
-/// Fault injection exercises the per-PE RNG-stream splicing of the merge:
-/// drops, latency spikes, storms, and evictions must land on exactly the
-/// same accesses as in the serial run.
+/// Fault injection draws from per-PE RNG streams: drops, latency spikes,
+/// storms, and evictions must land on exactly the same accesses whatever
+/// the knob says.
 #[test]
 fn faulted_runs_identical() {
     let plans = [
@@ -115,7 +107,6 @@ fn faulted_runs_identical() {
                     &k.program,
                     &cfg,
                     scheme,
-                    4,
                     &format!("{} pes={n} faults seed={}", k.name, plan.seed),
                 );
             }
@@ -123,9 +114,8 @@ fn faulted_runs_identical() {
     }
 }
 
-/// Event traces are part of the identity contract: the merge replays each
-/// block's events in block order into the master ring, reproducing the
-/// serial stream including ring wrap-around.
+/// Event traces are part of the identity contract, including ring
+/// wrap-around.
 #[test]
 fn traced_runs_identical() {
     let kernels = paper_kernels(Scale::Quick);
@@ -133,50 +123,6 @@ fn traced_runs_identical() {
     let mut cfg = cell_config(k, 8);
     cfg.sim.trace_capacity = 4096;
     for scheme in Scheme::ALL {
-        check_scheme(&k.program, &cfg, scheme, 4, "VPENTA pes=8 traced");
-    }
-}
-
-/// Determinism under repetition: worker interleaving varies from run to
-/// run, but the merged result must not — two parallel runs of the same cell
-/// serialize to the same bytes.
-#[test]
-fn repeated_parallel_runs_are_deterministic() {
-    let kernels = paper_kernels(Scale::Quick);
-    for (k, scheme) in [(&kernels[0], Scheme::Ccdp), (&kernels[3], Scheme::Base)] {
-        let mut cfg = cell_config(k, 8);
-        cfg.sim.faults = FaultPlan::none().with_seed(5).with_drop_rate(0.2);
-        cfg.sim.trace_capacity = 1024;
-        let cfg = with_threads(&cfg, 4);
-        let a = cfg.run(&k.program, scheme).expect("first parallel run");
-        let b = cfg.run(&k.program, scheme).expect("second parallel run");
-        let prog = a.artifacts.as_ref().map_or(&k.program, |x| &x.transformed);
-        assert_identical(prog, &a.result, &b.result, &format!("{} repeat {scheme:?}", k.name));
-    }
-}
-
-/// Budgeted runs shard only when the epoch is statically proven disjoint
-/// (per-block budget slicing); everything else takes the serial path. Either
-/// way the knob must not change budget-abort behaviour or results —
-/// `tests/shard_analysis.rs` covers the proven-and-sliced case in depth.
-#[test]
-fn budgeted_runs_ignore_the_knob() {
-    let kernels = paper_kernels(Scale::Quick);
-    let k = &kernels[0];
-    let mut cfg = cell_config(k, 8);
-    cfg.sim.step_budget = Some(10_000);
-    let ser = with_threads(&cfg, 0).run(&k.program, Scheme::Ccdp);
-    let par = with_threads(&cfg, 4).run(&k.program, Scheme::Ccdp);
-    match (ser, par) {
-        (Ok(s), Ok(p)) => {
-            let prog = s.artifacts.as_ref().map_or(&k.program, |a| &a.transformed);
-            assert_identical(prog, &s.result, &p.result, "budgeted");
-        }
-        (Err(se), Err(pe)) => assert_eq!(format!("{se}"), format!("{pe}"), "budgeted abort"),
-        (s, p) => panic!(
-            "budgeted outcomes diverge: serial ok={} parallel ok={}",
-            s.is_ok(),
-            p.is_ok()
-        ),
+        check_scheme(&k.program, &cfg, scheme, "VPENTA pes=8 traced");
     }
 }
