@@ -1,15 +1,13 @@
 //! Expression-dispatch microbenches: the boxed [`ValExpr`] tree walk vs the
 //! postfix stack machine vs the shape-specialized direct-threaded
-//! evaluator ([`CExpr::eval`]), plus the end-to-end effect of the chunked
-//! batch sweep on a pure-private kernel (reference tree walker vs compiled
-//! trace). All paths are bit-identical by construction — these benches
-//! exist to keep the fast paths honest about actually being fast.
+//! evaluator ([`CExpr::eval`]). All paths are bit-identical by
+//! construction — these benches exist to keep the fast paths honest about
+//! actually being fast.
 
-use ccdp_ir::{ProgramBuilder, ValExpr, VarEnv, VarId};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ccdp_ir::{ValExpr, VarEnv, VarId};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use t3d_sim::compiled::CExpr;
-use t3d_sim::{MachineConfig, Scheme, SimOptions, Simulator};
 
 /// The four-kernel staple: MXM's multiply-accumulate `c + a * b`.
 fn mac_expr() -> ValExpr {
@@ -52,47 +50,5 @@ fn bench_eval(c: &mut Criterion) {
     g.finish();
 }
 
-/// A pure-private two-statement loop nest: the body batches, so the
-/// compiled path runs the chunked values-only sweep while the tree walker
-/// pays full per-access dispatch. Same cycles, same bytes — the gap is
-/// pure host-dispatch overhead.
-fn bench_sweep(c: &mut Criterion) {
-    const N: i64 = 256;
-    let mut pb = ProgramBuilder::new("sweep");
-    let t = pb.private("T", &[N as usize]);
-    let u = pb.private("U", &[N as usize]);
-    pb.serial_epoch("e", |e| {
-        e.serial("r", 0, 63, |e, _| {
-            e.serial("i", 0, N - 1, |e, i| {
-                e.assign(t.at1(i), t.at1(i).rd() * 1.0001 + u.at1(i).rd());
-                e.assign(u.at1(i), u.at1(i).rd() * 0.9999);
-            });
-        });
-    });
-    let program = pb.finish().unwrap();
-    let mut g = c.benchmark_group("batch_sweep");
-    g.throughput(Throughput::Elements((64 * N) as u64));
-    for (name, treewalk) in [("treewalk", true), ("compiled_chunked", false)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let layout = ccdp_dist::Layout::new(&program, 1);
-                let opts = SimOptions { force_treewalk: treewalk, ..SimOptions::default() };
-                black_box(
-                    Simulator::new(
-                        &program,
-                        layout,
-                        MachineConfig::t3d(1),
-                        Scheme::Sequential,
-                        opts,
-                    )
-                    .run()
-                    .cycles,
-                )
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_eval, bench_sweep);
+criterion_group!(benches, bench_eval);
 criterion_main!(benches);

@@ -12,9 +12,9 @@
 //! steady-state extrapolation after 3 sampled iterations); `Scale::Quick`
 //! runs ~1/4-linear-size instances for CI-speed shape checks.
 //!
-//! Environment knobs (`CCDP_SCALE`, `CCDP_SEED`, `CCDP_FORCE_TREEWALK`)
-//! are parsed through [`ccdp_core::EnvOverrides`] — the single parsing
-//! point — never ad hoc here.
+//! Environment knobs (`CCDP_SCALE`, `CCDP_SEED`) are parsed through
+//! [`ccdp_core::EnvOverrides`] — the single parsing point — never ad hoc
+//! here.
 
 pub mod journal;
 pub mod report;
@@ -182,21 +182,14 @@ pub fn paper_kernels(scale: Scale) -> Vec<BenchKernel> {
 }
 
 /// Pipeline configuration for one cell of the table: the kernel's layout
-/// and repeat-sampling on top of T3D defaults, with the environment
-/// overrides applied. This is the single entry point for cell configs;
-/// ablations start from it and apply a tweak.
+/// and repeat-sampling on top of T3D defaults. This is the single entry
+/// point for cell configs; ablations start from it and apply a tweak.
 pub fn cell_config(k: &BenchKernel, n_pes: usize) -> PipelineConfig {
     let mut cfg = PipelineConfig::t3d(n_pes).with_sim(SimOptions {
         repeat_sample: k.repeat_sample,
         oracle_examples: 4,
         ..Default::default()
     });
-    // Malformed env values were already rejected at bin startup
-    // (`Scale::from_env` / `seed_from` validate the whole environment), so
-    // a parse failure here can only repeat an error the caller has seen.
-    if let Ok(env) = EnvOverrides::from_env() {
-        env.apply(&mut cfg);
-    }
     if let Some(f) = k.layout {
         cfg = cfg.with_layout(f(&k.program, n_pes));
     }

@@ -1,10 +1,9 @@
 //! Environment-variable overrides, parsed in exactly one place.
 //!
-//! These env knobs steer the pipeline and the benchmark harness:
+//! These env knobs steer the benchmark harness and the job service:
 //!
 //! | variable                | effect                                         |
 //! |-------------------------|------------------------------------------------|
-//! | `CCDP_FORCE_TREEWALK`   | `1` forces the treewalk interpreter            |
 //! | `CCDP_SEED`             | decision-stream seed for fault-injecting runs  |
 //! | `CCDP_SCALE`            | benchmark problem size: `quick` (default) or `paper` |
 //! | `CCDP_BENCH_QUICK`      | `1` shrinks the vendored-criterion measurement budget |
@@ -12,16 +11,16 @@
 //! | `CCDP_SERVE_WORKERS`    | default worker-process count for ccdpd         |
 //! | `CCDP_COMPACT_BYTES`    | journal compaction threshold for ccdpd (0 = off) |
 //!
-//! Historically each consumer read its variable ad hoc (the simulator read
-//! `CCDP_FORCE_TREEWALK` directly, each bench bin parsed `CCDP_SEED` /
-//! `CCDP_SCALE` itself), so a typo could silently select the wrong mode.
-//! [`EnvOverrides::from_env`] is now the single parsing point: every bad
-//! value is a structured [`PipelineError::InvalidConfig`] carrying the
-//! variable name, the offending value, and what was expected — and
-//! [`EnvOverrides::apply`] is the only place an env var mutates a
-//! [`PipelineConfig`].
+//! Historically each consumer read its variable ad hoc (each bench bin
+//! parsed `CCDP_SEED` / `CCDP_SCALE` itself), so a typo could silently
+//! select the wrong mode. [`EnvOverrides::from_env`] is now the single
+//! parsing point: every bad value is a structured
+//! [`PipelineError::InvalidConfig`] carrying the variable name, the
+//! offending value, and what was expected. No env var changes how a
+//! [`crate::PipelineConfig`] simulates: the reference tree walker is
+//! selected only through `SimOptions::force_treewalk`.
 
-use crate::pipeline::{PipelineConfig, PipelineError};
+use crate::pipeline::PipelineError;
 use t3d_sim::ConfigError;
 
 /// Benchmark problem-size preset named by `CCDP_SCALE`. The sizes
@@ -39,9 +38,6 @@ pub enum ScalePreset {
 /// [`EnvOverrides::from_env`]; `Default` is "no variable set".
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct EnvOverrides {
-    /// `CCDP_FORCE_TREEWALK=1`: run the treewalk interpreter instead of the
-    /// compiled-trace path (the reference semantics both paths must match).
-    pub force_treewalk: bool,
     /// `CCDP_SEED=<u64>`: deterministic seed for fault-injecting harness
     /// runs. `None` when unset (callers pick their own default).
     pub seed: Option<u64>,
@@ -69,15 +65,6 @@ impl EnvOverrides {
     /// silently select a default.
     pub fn from_env() -> Result<EnvOverrides, PipelineError> {
         let mut o = EnvOverrides::default();
-        if let Ok(v) = std::env::var("CCDP_FORCE_TREEWALK") {
-            o.force_treewalk = match v.as_str() {
-                "" | "0" => false,
-                "1" => true,
-                _ => {
-                    return Err(bad_env("CCDP_FORCE_TREEWALK", v, "expected \"0\" or \"1\""))
-                }
-            };
-        }
         if let Ok(v) = std::env::var("CCDP_SEED") {
             o.seed = Some(
                 v.parse::<u64>()
@@ -129,14 +116,6 @@ impl EnvOverrides {
         }
         Ok(o)
     }
-
-    /// Apply the overrides to a pipeline configuration. Only widening:
-    /// `force_treewalk` already set programmatically is never cleared.
-    /// (`seed` and `scale` configure the *harness*, not the pipeline, so
-    /// they are consumed by the bench crate instead.)
-    pub fn apply(&self, cfg: &mut PipelineConfig) {
-        cfg.sim.force_treewalk |= self.force_treewalk;
-    }
 }
 
 fn bad_env(var: &'static str, value: String, need: &'static str) -> PipelineError {
@@ -176,8 +155,7 @@ mod unit {
         out
     }
 
-    const ALL_UNSET: [(&str, Option<&str>); 7] = [
-        ("CCDP_FORCE_TREEWALK", None),
+    const ALL_UNSET: [(&str, Option<&str>); 6] = [
         ("CCDP_SEED", None),
         ("CCDP_SCALE", None),
         ("CCDP_BENCH_QUICK", None),
@@ -190,7 +168,6 @@ mod unit {
     fn unset_environment_is_the_default() {
         let o = with_vars(&ALL_UNSET, EnvOverrides::from_env).unwrap();
         assert_eq!(o, EnvOverrides::default());
-        assert!(!o.force_treewalk);
         assert_eq!(o.seed, None);
         assert_eq!(o.scale, ScalePreset::Quick);
         assert!(!o.bench_quick);
@@ -203,7 +180,6 @@ mod unit {
     fn valid_values_parse() {
         let o = with_vars(
             &[
-                ("CCDP_FORCE_TREEWALK", Some("1")),
                 ("CCDP_SEED", Some("42")),
                 ("CCDP_SCALE", Some("paper")),
                 ("CCDP_BENCH_QUICK", Some("1")),
@@ -214,7 +190,6 @@ mod unit {
             EnvOverrides::from_env,
         )
         .unwrap();
-        assert!(o.force_treewalk);
         assert_eq!(o.seed, Some(42));
         assert_eq!(o.scale, ScalePreset::Paper);
         assert!(o.bench_quick);
@@ -226,7 +201,6 @@ mod unit {
     #[test]
     fn bad_values_are_structured_errors_naming_the_variable() {
         for (var, value) in [
-            ("CCDP_FORCE_TREEWALK", "yes"),
             ("CCDP_SEED", "banana"),
             ("CCDP_SCALE", "fast"),
             ("CCDP_BENCH_QUICK", "true"),
@@ -252,15 +226,5 @@ mod unit {
             assert!(msg.contains(var), "{msg}");
             assert!(msg.contains(value), "{msg}");
         }
-    }
-
-    #[test]
-    fn apply_widens_force_treewalk_only() {
-        let mut cfg = PipelineConfig::t3d(2);
-        EnvOverrides { force_treewalk: true, ..Default::default() }.apply(&mut cfg);
-        assert!(cfg.sim.force_treewalk);
-        // Never cleared by an unset env.
-        EnvOverrides::default().apply(&mut cfg);
-        assert!(cfg.sim.force_treewalk);
     }
 }

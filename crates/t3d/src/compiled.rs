@@ -20,11 +20,7 @@
 //!   of the common small shapes, **direct-threaded** into a [`FastExpr`]
 //!   that evaluates as straight-line code — no opcode dispatch loop, no
 //!   value stack — applying the identical `f64` operations in the identical
-//!   order, so results stay bit-for-bit equal to the tree walk;
-//! * per-iteration **invariant cycle charges** of pure-private straight-line
-//!   bodies (cache-hit reads, local writes, FLOP work) are batched into an
-//!   [`IterCharges`] record charged once per iteration — or once per loop
-//!   entry, multiplied by the trip count — instead of per access.
+//!   order, so results stay bit-for-bit equal to the tree walk.
 //!
 //! Compiled bodies are cached per `(loop, scheme)` — the scheme is fixed for
 //! a `Simulator` instance, so the cache key degenerates to the `LoopId` —
@@ -33,9 +29,10 @@
 //! tree walker: both paths share the same memory-operation helpers
 //! (`cached_read`, `base_read`, `bypass_read`, `write_shared_addr`) and
 //! charge at the same points in the same order wherever the PE clock is
-//! observable. `SimOptions::force_treewalk` (set from `CCDP_FORCE_TREEWALK=1`
-//! by `ccdp_core::EnvOverrides`) keeps the tree walker as a reference path;
-//! the `compiled_equivalence` property test pins the two paths together.
+//! observable, and both run one per-iteration loop that ticks the run
+//! budgets at the same points. `SimOptions::force_treewalk` keeps the tree
+//! walker as a reference path; the `compiled_equivalence` property test
+//! pins the two paths together.
 
 use ccdp_ir::{
     Affine, ArrayId, ArrayRef, Assign, Cond, Loop, PrefetchStmt, Program, RefId, Stmt, ValExpr,
@@ -410,19 +407,6 @@ impl CExpr {
 /// but unseen in practice) expressions spill to a heap allocation.
 const FIXED_STACK: usize = 16;
 
-/// Per-iteration invariant charges of a pure-private straight-line body.
-/// Multiplied by the machine's unit costs (and the trip count) at charge
-/// time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct IterCharges {
-    /// Private reads per iteration (× `cache_hit` cycles each).
-    pub reads: u64,
-    /// Private writes per iteration (× `write_local` cycles each).
-    pub writes: u64,
-    /// Summed FLOP + extra cost cycles per iteration.
-    pub fp: u64,
-}
-
 /// A compiled assignment.
 #[derive(Clone, Debug)]
 pub(crate) struct CAssign {
@@ -462,14 +446,6 @@ pub(crate) struct CompiledBody<'p> {
     /// Distinct `(array, subscript)` recurrences referenced by `stmts`
     /// (identical subscripts share a slot).
     pub slots: Vec<SlotSpec<'p>>,
-    /// `Some` when the body is straight-line private-only code whose cycle
-    /// charges can be batched per iteration (see [`IterCharges`]).
-    pub batch: Option<IterCharges>,
-    /// Some expression in the body reads the loop variable itself. When
-    /// false (and every slot recurrence took the fast path), the batched
-    /// sweep skips maintaining the variable binding entirely — the
-    /// recurrences already carry all per-iteration state.
-    pub uses_loop_var: bool,
 }
 
 /// Everything the compiler needs from the simulator.
@@ -513,21 +489,7 @@ fn compile_body<'p>(
 ) -> CompiledBody<'p> {
     let mut slots: Vec<SlotSpec<'p>> = Vec::new();
     let stmts = compile_stmts(stmts, var, ctx, &mut slots);
-    let batch = batch_of(&stmts);
-    let uses_loop_var = stmts_use_var(&stmts, var);
-    CompiledBody { stmts, slots, batch, uses_loop_var }
-}
-
-/// Does any statement's expression read `var`? `If`/`Loop`/`Prefetch`
-/// statements conservatively count as users (conditions, nested bounds,
-/// and prefetch subscripts all evaluate against the environment) — those
-/// shapes never batch anyway, so the flag only has to be exact for
-/// straight-line assignment bodies.
-fn stmts_use_var(stmts: &[CStmt<'_>], var: VarId) -> bool {
-    stmts.iter().any(|s| match s {
-        CStmt::Assign(a) => a.expr.ops.iter().any(|op| matches!(op, EOp::Var(v) if *v == var)),
-        _ => true,
-    })
+    CompiledBody { stmts, slots }
 }
 
 fn compile_stmts<'p>(
@@ -627,27 +589,6 @@ fn slot_for<'p>(
     (slots.len() - 1) as u32
 }
 
-/// A body's charges can be batched per iteration iff it is straight-line
-/// code touching only private data: no branch, nested loop, prefetch, or
-/// shared reference — i.e. nothing that observes or is observed through the
-/// PE clock (no trace events either; private accesses emit none).
-fn batch_of(stmts: &[CStmt<'_>]) -> Option<IterCharges> {
-    if stmts.is_empty() {
-        return None;
-    }
-    let mut b = IterCharges::default();
-    for s in stmts {
-        let CStmt::Assign(a) = s else { return None };
-        if a.write.shared || a.reads.iter().any(|r| r.kind != AccessKind::Private) {
-            return None;
-        }
-        b.reads += a.reads.len() as u64;
-        b.writes += 1;
-        b.fp += a.cost;
-    }
-    Some(b)
-}
-
 #[cfg(test)]
 mod unit {
     use super::*;
@@ -691,22 +632,6 @@ mod unit {
         assert!(a0.write.shared);
         assert_eq!(a0.reads[0].kind, AccessKind::Cached(Handling::Normal));
         assert_eq!(a0.reads[1].kind, AccessKind::Private);
-    }
-
-    #[test]
-    fn mixed_body_does_not_batch_but_private_only_does() {
-        let (p, mem, craft) = ctx_fixture();
-        let scheme = Scheme::Sequential;
-        let ctx = CompileCtx { program: &p, mem: &mem, scheme: &scheme, craft_cost: &craft };
-        let cb = compile_loop(outer_loop(&p), &ctx);
-        // The body mixes shared and private statements: no batch.
-        assert_eq!(cb.batch, None);
-        // A body of only the private statement batches.
-        let private_only = vec![cb.stmts[1].clone()];
-        assert_eq!(
-            batch_of(&private_only),
-            Some(IterCharges { reads: 1, writes: 1, fp: 2 })
-        );
     }
 
     #[test]
@@ -811,32 +736,6 @@ mod unit {
         // Unary operators have no specialized shape.
         let neg = Neg(Box::new(Read(0)));
         assert!(matches!(CExpr::compile(&neg).fast, FastExpr::General));
-    }
-
-    #[test]
-    fn loop_var_use_is_detected_exactly_for_assign_bodies() {
-        let (p, mem, craft) = ctx_fixture();
-        let scheme = Scheme::Sequential;
-        let ctx = CompileCtx { program: &p, mem: &mem, scheme: &scheme, craft_cost: &craft };
-        let cb = compile_loop(outer_loop(&p), &ctx);
-        // Neither fixture expression reads `i` as a value (only subscripts
-        // do, and those live in the slot recurrences).
-        assert!(!cb.uses_loop_var);
-        let mut pb = ProgramBuilder::new("t2");
-        let t = pb.private("T", &[8]);
-        pb.serial_epoch("e", |e| {
-            e.serial("i", 0, 7, |e, i| {
-                e.assign(t.at1(i), t.at1(i).rd() + i.val());
-            });
-        });
-        let p2 = pb.finish().unwrap();
-        let layout = Layout::new(&p2, 2);
-        let mem2 = Memory::new(&p2, &layout);
-        let craft2 = vec![0u64; p2.arrays.len()];
-        let ctx2 =
-            CompileCtx { program: &p2, mem: &mem2, scheme: &scheme, craft_cost: &craft2 };
-        let cb2 = compile_loop(outer_loop(&p2), &ctx2);
-        assert!(cb2.uses_loop_var, "i.val() reads the loop variable");
     }
 
     #[test]

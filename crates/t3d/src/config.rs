@@ -26,8 +26,8 @@ pub enum ConfigError {
     /// A fault-plan burst/multiplier parameter is out of range.
     BadFaultParam { field: &'static str, value: u64, need: &'static str },
     /// An environment override variable holds an unparsable value
-    /// (`CCDP_FORCE_TREEWALK` / `CCDP_SEED` / `CCDP_SCALE` / …; see the
-    /// core crate's `EnvOverrides`).
+    /// (`CCDP_SEED` / `CCDP_SCALE` / …; see the core crate's
+    /// `EnvOverrides`).
     BadEnv { var: &'static str, value: String, need: &'static str },
     /// `SimOptions::sim_threads > 1`: asks for the removed intra-run
     /// sharded engine.
@@ -318,10 +318,9 @@ pub struct SimOptions {
     /// may only move cycles, never values — see the `faults` module.
     pub faults: FaultPlan,
     /// Run loops through the reference tree-walking interpreter instead of
-    /// the compiled trace (also settable via `CCDP_FORCE_TREEWALK=1`). The
-    /// two paths are byte-identical by contract — this exists so the
-    /// equivalence test and debugging sessions can pin them against each
-    /// other.
+    /// the compiled trace. The two paths are byte-identical by contract,
+    /// budget aborts included — this exists so the equivalence tests and
+    /// debugging sessions can pin them against each other.
     pub force_treewalk: bool,
     /// Abort the run once any PE's cycle counter exceeds this many cycles
     /// ([`SimAbort::BudgetExceeded`]). `None` (the default) = unlimited.

@@ -1,17 +1,18 @@
 //! Equivalence of the two execution paths: the compiled trace (default)
 //! must be **cycle-for-cycle and byte-for-byte identical** to the reference
-//! tree walker (`SimOptions::force_treewalk` / `CCDP_FORCE_TREEWALK=1`) —
-//! cycles, per-PE totals, epoch attribution, prefetch quality, oracle
-//! verdicts, fault stats, event traces, and the final memory image.
+//! tree walker (`SimOptions::force_treewalk`) — cycles, per-PE totals,
+//! epoch attribution, prefetch quality, oracle verdicts, fault stats, event
+//! traces, the final memory image, and where a run budget aborts.
 //!
 //! Coverage: every scheme on all four paper kernels at every PE count of
-//! the paper's tables (seed 0), plus property-style sweeps over synthesized
-//! programs × schemes × fault plans.
+//! the paper's tables (seed 0), property-style sweeps over synthesized
+//! programs × schemes × fault plans, and hand-written private-array
+//! programs swept across cycle and step budgets.
 
 use ccdp_bench::synth::{random_program, SynthConfig};
 use ccdp_bench::{cell_config, paper_kernels, Scale, PAPER_PES};
-use ccdp_core::{run_seq, EnvOverrides, PipelineConfig, Scheme};
-use ccdp_ir::Program;
+use ccdp_core::{run_seq, PipelineConfig, PipelineError, Scheme};
+use ccdp_ir::{Program, ProgramBuilder};
 use ccdp_json::ToJson;
 use t3d_sim::{FaultPlan, SimResult};
 
@@ -30,16 +31,20 @@ fn assert_identical(program: &Program, fast: &SimResult, slow: &SimResult, what:
         slow.to_json().to_pretty(),
         "compiled vs treewalk result mismatch: {what}"
     );
-    for a in &program.arrays {
-        if !fast.memory.is_shared(a.id) {
-            continue;
-        }
-        let fb: Vec<u64> =
-            fast.memory.array_values(program, a.id).iter().map(|v| v.to_bits()).collect();
-        let sb: Vec<u64> =
-            slow.memory.array_values(program, a.id).iter().map(|v| v.to_bits()).collect();
-        assert_eq!(fb, sb, "memory mismatch in {} ({what})", a.name);
-    }
+    assert_eq!(shared_bits(program, fast), shared_bits(program, slow), "memory mismatch ({what})");
+}
+
+/// The bit pattern of every shared array, by name.
+fn shared_bits(program: &Program, r: &SimResult) -> Vec<(String, Vec<u64>)> {
+    program
+        .arrays
+        .iter()
+        .filter(|a| r.memory.is_shared(a.id))
+        .map(|a| {
+            let bits = r.memory.array_values(program, a.id).iter().map(|v| v.to_bits()).collect();
+            (a.name.clone(), bits)
+        })
+        .collect()
 }
 
 /// Run each of `schemes` through both paths and compare. CCDP and INV
@@ -127,24 +132,153 @@ fn traced_runs_identical() {
     check_schemes(&k.program, &cfg, &Scheme::ALL, "VPENTA pes=8 traced");
 }
 
-/// The `CCDP_FORCE_TREEWALK` env var — applied through the single
-/// `EnvOverrides` parsing point — selects the same reference path as
-/// `SimOptions::force_treewalk`. (Runs on a small kernel; if another test
-/// in this binary races the env var, both sides degrade to the treewalk and
-/// the assertion still holds — the flag is equivalence-preserving by
-/// contract.)
+/// A finished run in comparable form (its cycles, serialized report and
+/// shared memory bits), or the `(pe, cycles, steps)` of its budget abort.
+type Outcome = Result<(u64, String, Vec<(String, Vec<u64>)>), (usize, u64, u64)>;
+
+/// Run `scheme` (`None` = SEQ) and reduce the result to an [`Outcome`].
+fn outcome(program: &Program, cfg: &PipelineConfig, scheme: Option<Scheme>) -> Outcome {
+    let run = match scheme {
+        None => run_seq(program, cfg).map(|r| (r, None)),
+        Some(s) => cfg.run(program, s).map(|r| (r.result, r.artifacts.map(|a| a.transformed))),
+    };
+    match run {
+        Ok((r, transformed)) => {
+            let prog = transformed.as_ref().unwrap_or(program);
+            Ok((r.cycles, r.to_json().to_pretty(), shared_bits(prog, &r)))
+        }
+        Err(PipelineError::BudgetExceeded { pe, cycles, steps }) => Err((pe, cycles, steps)),
+        Err(e) => panic!("unexpected pipeline error: {e}"),
+    }
+}
+
+/// Both paths must finish identically or abort with equal fields.
+fn assert_same_outcome(program: &Program, cfg: &PipelineConfig, scheme: Option<Scheme>, what: &str) {
+    let fast = outcome(program, cfg, scheme);
+    let slow = outcome(program, &with_treewalk(cfg), scheme);
+    assert_eq!(fast, slow, "compiled vs treewalk outcome: {what}");
+}
+
+/// Budgets from 0 past `total` in about 32 strides, plus both edges.
+fn budget_sweep(total: u64) -> Vec<u64> {
+    let mut bs: Vec<u64> = (0..=total).step_by((total / 32).max(1) as usize).collect();
+    bs.extend([total.saturating_sub(1), total, total + 1]);
+    bs
+}
+
+/// Hand-written programs whose loop bodies touch private arrays — a shape
+/// no paper kernel and no synthesized program has.
+fn private_array_programs() -> Vec<(&'static str, Program)> {
+    let serial = {
+        let mut pb = ProgramBuilder::new("private_serial");
+        let a = pb.shared("A", &[8]);
+        let t = pb.private("T", &[64]);
+        let u = pb.private("U", &[64]);
+        pb.serial_epoch("sweep", |e| {
+            e.serial("r", 0, 3, |e, _| {
+                e.serial("i", 0, 63, |e, i| {
+                    e.assign(t.at1(i), t.at1(i).rd() * 1.5 + u.at1(i).rd());
+                    e.assign(u.at1(i), u.at1(i).rd() + 1.0);
+                });
+            });
+            e.assign(a.at1(0), t.at1(63).rd());
+        });
+        pb.finish().expect("valid private serial program")
+    };
+    let doall = {
+        let mut pb = ProgramBuilder::new("private_doall");
+        let a = pb.shared("A", &[64]);
+        let t = pb.private("T", &[64]);
+        pb.parallel_epoch("private", |e| {
+            e.doall("i", 0, 63, |e, i| e.assign(t.at1(i), t.at1(i).rd() * 2.0 + 1.0));
+        });
+        pb.parallel_epoch("publish", |e| {
+            e.doall("i", 0, 63, |e, i| e.assign(a.at1(i), a.at1(i).rd() + t.at1(i).rd()));
+        });
+        pb.finish().expect("valid private DOALL program")
+    };
+    let mixed = {
+        let mut pb = ProgramBuilder::new("mixed");
+        let a = pb.shared("A", &[64]);
+        let t = pb.private("T", &[64]);
+        pb.serial_epoch("serial", |e| {
+            e.serial("i", 0, 63, |e, i| {
+                e.assign(t.at1(i), a.at1(i).rd() * 0.5 + 1.0);
+                e.assign(a.at1(i), t.at1(i).rd() + 2.0);
+            });
+        });
+        pb.parallel_epoch("parallel", |e| {
+            e.doall("i", 0, 63, |e, i| {
+                e.assign(t.at1(i), a.at1(i).rd() - t.at1(i).rd());
+                e.assign(a.at1(i), t.at1(i).rd() * 3.0);
+            });
+        });
+        pb.finish().expect("valid mixed program")
+    };
+    let loop_var = {
+        let mut pb = ProgramBuilder::new("private_loop_var");
+        let a = pb.shared("A", &[8]);
+        let t = pb.private("T", &[64]);
+        pb.serial_epoch("serial", |e| {
+            e.serial("i", 0, 63, |e, i| e.assign(t.at1(i), t.at1(i).rd() + i.val()));
+            e.assign(a.at1(0), t.at1(63).rd());
+        });
+        pb.parallel_epoch("parallel", |e| {
+            e.doall("i", 0, 63, |e, i| e.assign(t.at1(i), i.val() * 0.25));
+        });
+        pb.serial_epoch("publish", |e| e.assign(a.at1(1), t.at1(0).rd()));
+        pb.finish().expect("valid loop-variable program")
+    };
+    vec![("private serial", serial), ("private DOALL", doall), ("mixed", mixed), ("loop var", loop_var)]
+}
+
+/// Private-array loop bodies run the same per-iteration path on both
+/// engines: byte-identical results without budgets, and the same `Ok`/`Err`
+/// outcome with equal abort fields at every cycle and step budget across
+/// each program's total cost, for every scheme.
 #[test]
-fn env_flag_matches_option_flag() {
-    let kernels = paper_kernels(Scale::Quick);
-    let k = &kernels[0];
-    let cfg = cell_config(k, 4);
-    std::env::set_var("CCDP_FORCE_TREEWALK", "1");
-    let mut env_cfg = cfg.clone();
-    EnvOverrides::from_env().expect("valid env").apply(&mut env_cfg);
-    std::env::remove_var("CCDP_FORCE_TREEWALK");
-    assert!(env_cfg.sim.force_treewalk, "env override must set the treewalk flag");
-    let via_env = env_cfg.run(&k.program, Scheme::Base).expect("base (env treewalk)").result;
-    let via_opt =
-        with_treewalk(&cfg).run(&k.program, Scheme::Base).expect("base (opt treewalk)").result;
-    assert_identical(&k.program, &via_env, &via_opt, "env flag vs option flag");
+fn private_array_bodies_identical_under_budgets() {
+    let schemes: Vec<Option<Scheme>> =
+        std::iter::once(None).chain(Scheme::ALL.map(Some)).collect();
+    for (name, p) in private_array_programs() {
+        for n in [2usize, 3] {
+            let cfg = PipelineConfig::t3d(n);
+            for &scheme in &schemes {
+                let sname = scheme.map_or("SEQ", |s| s.name());
+                let what = format!("{name} pes={n} {sname}");
+                assert_same_outcome(&p, &cfg, scheme, &what);
+                let cycles = outcome(&p, &cfg, scheme).expect("unbudgeted run").0;
+                for b in budget_sweep(cycles) {
+                    let mut c = cfg.clone();
+                    c.sim.cycle_budget = Some(b);
+                    assert_same_outcome(&p, &c, scheme, &format!("{what} cycle_budget={b}"));
+                }
+                // Total steps: the least step budget the reference walker
+                // finishes under (a run aborts once `steps > budget`).
+                let finishes = |b: u64| {
+                    let mut c = with_treewalk(&cfg);
+                    c.sim.step_budget = Some(b);
+                    outcome(&p, &c, scheme).is_ok()
+                };
+                let mut hi = 1u64;
+                while !finishes(hi) {
+                    hi *= 2;
+                }
+                let mut lo = 0u64;
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    if finishes(mid) {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                for b in budget_sweep(hi) {
+                    let mut c = cfg.clone();
+                    c.sim.step_budget = Some(b);
+                    assert_same_outcome(&p, &c, scheme, &format!("{what} step_budget={b}"));
+                }
+            }
+        }
+    }
 }

@@ -28,38 +28,44 @@ fn runaway() -> Program {
     pb.finish().expect("runaway program is structurally valid")
 }
 
+/// The `(pe, cycles, steps)` of a run that must abort on its budget.
+fn budget_abort<T>(r: Result<T, PipelineError>, what: &str) -> (usize, u64, u64) {
+    match r {
+        Err(PipelineError::BudgetExceeded { pe, cycles, steps }) => (pe, cycles, steps),
+        Ok(_) => panic!("{what}: runaway program finished under its budget"),
+        Err(other) => panic!("{what}: expected BudgetExceeded, got: {other}"),
+    }
+}
+
 #[test]
 fn budget_terminates_runaway_under_both_interpreters() {
     let p = runaway();
-    for force_treewalk in [false, true] {
+    let cfg = |force_treewalk: bool, cycle_budget: Option<u64>, step_budget: Option<u64>| {
         let mut cfg = PipelineConfig::t3d(2);
         cfg.sim.force_treewalk = force_treewalk;
-        cfg.sim.cycle_budget = Some(1_000_000);
-        match run_seq(&p, &cfg) {
-            Err(PipelineError::BudgetExceeded { cycles, steps, .. }) => {
-                assert!(cycles > 1_000_000, "abort records the crossing cycle count");
-                assert!(steps > 0);
-            }
-            Ok(_) => panic!("runaway program finished under a 1M-cycle budget"),
-            Err(other) => panic!("expected BudgetExceeded, got: {other}"),
-        }
-        // The CCDP path (compile + prefetch plan) is budgeted too.
-        match cfg.run(&p, Scheme::Ccdp) {
-            Err(PipelineError::BudgetExceeded { .. }) => {}
-            Ok(_) => panic!("runaway CCDP run finished under budget"),
-            Err(other) => panic!("expected BudgetExceeded, got: {other}"),
-        }
-        // Step budgets bound the same loop by interpreter steps.
-        let mut cfg = PipelineConfig::t3d(2);
-        cfg.sim.force_treewalk = force_treewalk;
-        cfg.sim.step_budget = Some(100_000);
-        match run_seq(&p, &cfg) {
-            Err(PipelineError::BudgetExceeded { steps, .. }) => {
-                assert!(steps > 100_000);
-            }
-            other => panic!("expected BudgetExceeded on step budget, got ok={}", other.is_ok()),
-        }
-    }
+        cfg.sim.cycle_budget = cycle_budget;
+        cfg.sim.step_budget = step_budget;
+        cfg
+    };
+    // Each budget aborts both paths, and at the same point: equal
+    // `BudgetExceeded { pe, cycles, steps }` from the compiled trace and
+    // the tree walker.
+    let [fast, slow] = [false, true].map(|tw| {
+        budget_abort(run_seq(&p, &cfg(tw, Some(1_000_000), None)), "SEQ cycle budget")
+    });
+    assert!(fast.1 > 1_000_000, "abort records the crossing cycle count");
+    assert!(fast.2 > 0);
+    assert_eq!(fast, slow, "SEQ cycle budget: compiled vs treewalk abort");
+    // The CCDP path (compile + prefetch plan) is budgeted too.
+    let [fast, slow] = [false, true].map(|tw| {
+        budget_abort(cfg(tw, Some(1_000_000), None).run(&p, Scheme::Ccdp), "CCDP cycle budget")
+    });
+    assert_eq!(fast, slow, "CCDP cycle budget: compiled vs treewalk abort");
+    // Step budgets bound the same loop by interpreter steps.
+    let [fast, slow] = [false, true]
+        .map(|tw| budget_abort(run_seq(&p, &cfg(tw, None, Some(100_000))), "SEQ step budget"));
+    assert!(fast.2 > 100_000);
+    assert_eq!(fast, slow, "SEQ step budget: compiled vs treewalk abort");
 }
 
 #[test]
